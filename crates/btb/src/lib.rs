@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use fe_cache::policy::next_stamp;
 use fe_cache::{AccessContext, Cache, CacheConfig, ConfigError, ReplacementPolicy};
 use fe_trace::record::INSTRUCTION_BYTES;
 use ghrp_core::SharedGhrp;
@@ -185,9 +186,10 @@ impl<P: ReplacementPolicy> Btb<P> {
 /// GHRP-driven BTB replacement (§III.E).
 ///
 /// Holds a clone of the I-cache's [`SharedGhrp`]. On each BTB access the
-/// branch's I-cache block metadata provides the signature; the shared
-/// tables vote with the separately tuned BTB threshold; the entry's
-/// prediction bit is refreshed. Victims are predicted-dead entries first,
+/// branch's I-cache block metadata (found by scanning the block's set in
+/// the I-cache's frame-indexed metadata column) provides the signature;
+/// the shared tables vote with the separately tuned BTB threshold; the
+/// entry's prediction bit is refreshed. Victims are predicted-dead entries first,
 /// then LRU. The shared history is *not* advanced by BTB accesses (the
 /// I-cache access to the branch's block already advanced it), and the BTB
 /// performs no table training of its own — that is what makes the BTB
@@ -200,8 +202,8 @@ pub struct GhrpBtbPolicy {
     ways: usize,
     /// I-cache block mask, to map a branch PC to its fetch block.
     icache_block_mask: u64,
-    stamps: Vec<u64>,
-    clock: u64,
+    stamps: Vec<u32>,
+    clock: u32,
     predicted_dead: Vec<bool>,
     /// Branch PC resident in each frame (simulator-side mirror, used to
     /// recompute fresh predictions during victim selection).
@@ -260,8 +262,8 @@ impl GhrpBtbPolicy {
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
+        let stamp = next_stamp(&mut self.clock, &mut self.stamps, self.ways);
+        self.stamps[set * self.ways + way] = stamp;
     }
 }
 
@@ -301,7 +303,7 @@ impl ReplacementPolicy for GhrpBtbPolicy {
         }
         (0..self.ways)
             .min_by_key(|&w| self.stamps[base + w])
-            .expect("at least one way")
+            .unwrap_or(0) // ways >= 1 by construction; hot path stays panic-free
     }
 
     fn on_evict(&mut self, way: usize, _victim_block: u64, ctx: &AccessContext) {
@@ -316,9 +318,8 @@ impl ReplacementPolicy for GhrpBtbPolicy {
     }
 
     fn reset(&mut self) {
-        // Per the trait contract this rewinds only the policy's own
-        // state; the coupled `SharedGhrp` is reset by whoever owns the
-        // I-cache/BTB pair (it is shared with the I-cache policy).
+        // The coupled `SharedGhrp` belongs to the I-cache policy, whose
+        // `reset` rewinds it; this rewinds only the BTB-side state.
         self.stamps.fill(0);
         self.clock = 0;
         self.predicted_dead.fill(false);
@@ -350,6 +351,14 @@ mod tests {
     use super::*;
     use fe_cache::policy::Lru;
     use ghrp_core::{BlockMeta, GhrpConfig};
+
+    /// A predictor coupled to a 64-set, 4-way I-cache of 64-byte blocks
+    /// (the geometry its metadata column is laid out in).
+    fn attached(cfg: GhrpConfig) -> SharedGhrp {
+        let shared = SharedGhrp::new(cfg, 6);
+        shared.attach_icache(CacheConfig::with_sets(64, 4, 64).unwrap());
+        shared
+    }
 
     fn lru_btb(entries: u32, ways: u32) -> Btb<Lru> {
         let cfg = btb_config(entries, ways).unwrap();
@@ -420,19 +429,19 @@ mod tests {
             btb_enable_bypass: true, // this test exercises the bypass path
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(cfg, 6);
+        let shared = attached(cfg);
         // Train a signature to saturation and attach it to block 0x1000.
         let sig = 0x123;
         for _ in 0..3 {
             shared.train(sig, true);
         }
-        shared.set_meta(
+        assert!(shared.set_meta(
             0x1000,
             BlockMeta {
                 signature: sig,
                 predicted_dead: true,
             },
-        );
+        ));
         let mut btb = ghrp_btb(&shared);
         // Bypass: branch in block 0x1000 predicts dead → never allocated.
         assert!(!btb.lookup_and_update(0x1004, 0x42));
@@ -450,7 +459,7 @@ mod tests {
             btb_enable_bypass: false,
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(cfg, 6);
+        let shared = attached(cfg);
         let mut btb = ghrp_btb(&shared);
         // Two branches in one BTB set (8 sets × 2 ways; pc step = 8*4
         // bytes). Both allocate live.
@@ -464,19 +473,39 @@ mod tests {
         for _ in 0..3 {
             shared.train(sig, true);
         }
-        shared.set_meta(
+        assert!(shared.set_meta(
             a & !63,
             BlockMeta {
                 signature: sig,
                 predicted_dead: true,
             },
-        );
+        ));
         // Refresh a's prediction bit (hit) so the entry is marked dead,
         // then insert c — the victim must be a (dead), not LRU order.
         btb.lookup_and_update(a, 1); // a is now MRU but predicted dead
         btb.lookup_and_update(c, 3);
         assert_eq!(btb.predict(a), None, "dead-predicted entry evicted");
         assert_eq!(btb.predict(b), Some(2), "LRU entry survived");
+    }
+
+    #[test]
+    fn ghrp_btb_lru_order_survives_clock_wrap() {
+        let cfg = GhrpConfig {
+            btb_enable_bypass: false,
+            btb_absent_block_is_dead: false,
+            ..GhrpConfig::default()
+        };
+        let shared = attached(cfg);
+        let mut btb = ghrp_btb(&shared);
+        btb.entries_mut().policy_mut().clock = u32::MAX - 1;
+        // Three branches in one 2-way set (8 sets; pc step = 8 * 4 bytes).
+        let (a, b, c) = (0x1000u64, 0x1020, 0x1040);
+        btb.lookup_and_update(a, 1);
+        btb.lookup_and_update(b, 2); // wraps the clock
+        btb.lookup_and_update(a, 1); // a is MRU again
+        btb.lookup_and_update(c, 3);
+        assert_eq!(btb.predict(b), None, "LRU entry evicted after the wrap");
+        assert_eq!(btb.predict(a), Some(1));
     }
 
     /// The nominal geometry the storage audit budgets against: 4,096

@@ -33,6 +33,11 @@ impl AccessResult {
     }
 }
 
+/// Tag of an empty frame. Every [`CacheConfig`] has blocks of at least
+/// two bytes, so a block-aligned address is even and can never equal
+/// this odd value.
+pub const INVALID_TAG: u64 = u64::MAX;
+
 /// Running counters for a cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -75,8 +80,8 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct Cache<P> {
     cfg: CacheConfig,
-    /// `sets × ways` frames; `None` = invalid.
-    tags: Vec<Option<u64>>,
+    /// `sets × ways` frames; [`INVALID_TAG`] = empty.
+    tags: Vec<u64>,
     policy: P,
     stats: CacheStats,
     efficiency: Option<EfficiencyTracker>,
@@ -92,9 +97,13 @@ impl<P: ReplacementPolicy> Cache<P> {
             "set count {} is not a power of two",
             cfg.sets()
         );
+        debug_assert!(
+            cfg.block_bytes() >= 2,
+            "one-byte blocks leave no room for INVALID_TAG"
+        );
         Cache {
             cfg,
-            tags: vec![None; cfg.frames()],
+            tags: vec![INVALID_TAG; cfg.frames()],
             policy,
             stats: CacheStats::default(),
             efficiency: None,
@@ -139,7 +148,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// with the same geometry and policy arguments; per-worker lane
     /// arenas use this to recycle caches across suite tasks.
     pub fn reset(&mut self) {
-        self.tags.fill(None);
+        self.tags.fill(INVALID_TAG);
         self.stats.reset();
         self.policy.reset();
         if let Some(e) = &mut self.efficiency {
@@ -172,13 +181,36 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Number of valid frames.
     pub fn valid_frames(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
+        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
     }
 
     fn find(&self, block: u64) -> Option<usize> {
         let set = self.cfg.set_of(block);
         let base = set * self.cfg.ways() as usize;
-        (0..self.cfg.ways() as usize).find(|&w| self.tags[base + w] == Some(block))
+        (0..self.cfg.ways() as usize).find(|&w| self.tags[base + w] == block)
+    }
+
+    /// Ask the policy for a victim in the full set at frame `base` and
+    /// evict it; returns the victim way (its tag is still in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy chooses a way `>= ways` — a policy bug.
+    fn evict(&mut self, ctx: &AccessContext, base: usize) -> usize {
+        let ways = self.cfg.ways() as usize;
+        let w = self.policy.choose_victim(ctx);
+        assert!(w < ways, "policy chose way {w} of {ways}");
+        let victim = self.tags[base + w];
+        debug_assert!(
+            victim != INVALID_TAG,
+            "full set has a valid tag in every way"
+        );
+        self.policy.on_evict(w, victim, ctx);
+        if let Some(e) = &mut self.efficiency {
+            e.on_evict(ctx.set, w);
+        }
+        self.stats.evictions += 1;
+        w
     }
 
     /// Install `addr`'s block without counting an access — a prefetch.
@@ -206,26 +238,10 @@ impl<P: ReplacementPolicy> Cache<P> {
         };
         let base = set * self.cfg.ways() as usize;
         let ways = self.cfg.ways() as usize;
-        let way = if let Some(w) = (0..ways).find(|&w| self.tags[base + w].is_none()) {
-            w
-        } else {
-            let w = self.policy.choose_victim(&ctx);
-            assert!(w < ways, "policy chose way {w} of {ways}");
-            // The set is full here (no invalid frame was found above), so
-            // every way holds a tag; the `if let` keeps the hot path free
-            // of panicking calls.
-            let victim = self.tags[base + w];
-            debug_assert!(victim.is_some(), "full set has a valid tag in every way");
-            if let Some(victim) = victim {
-                self.policy.on_evict(w, victim, &ctx);
-                if let Some(e) = &mut self.efficiency {
-                    e.on_evict(set, w);
-                }
-                self.stats.evictions += 1;
-            }
-            w
-        };
-        self.tags[base + way] = Some(block);
+        let way = (0..ways)
+            .find(|&w| self.tags[base + w] == INVALID_TAG)
+            .unwrap_or_else(|| self.evict(&ctx, base));
+        self.tags[base + way] = block;
         self.policy.on_fill(way, &ctx);
         if let Some(e) = &mut self.efficiency {
             e.on_fill(set, way);
@@ -283,7 +299,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         let base = set * self.cfg.ways() as usize;
         let ways = self.cfg.ways() as usize;
 
-        if let Some(way) = (0..ways).find(|&w| self.tags[base + w] == Some(block)) {
+        if let Some(way) = (0..ways).find(|&w| self.tags[base + w] == block) {
             self.stats.hits += 1;
             self.policy.on_hit(way, &ctx);
             if let Some(e) = &mut self.efficiency {
@@ -299,26 +315,14 @@ impl<P: ReplacementPolicy> Cache<P> {
         }
 
         // Prefer an invalid frame; otherwise ask the policy for a victim.
-        let (way, evicted) = if let Some(w) = (0..ways).find(|&w| self.tags[base + w].is_none()) {
-            (w, None)
-        } else {
-            let w = self.policy.choose_victim(&ctx);
-            assert!(w < ways, "policy chose way {w} of {ways}");
-            // The set is full here (no invalid frame was found above), so
-            // every way holds a tag; the `if let` keeps the hot path free
-            // of panicking calls.
-            let victim = self.tags[base + w];
-            debug_assert!(victim.is_some(), "full set has a valid tag in every way");
-            if let Some(victim) = victim {
-                self.policy.on_evict(w, victim, &ctx);
-                if let Some(e) = &mut self.efficiency {
-                    e.on_evict(set, w);
-                }
-                self.stats.evictions += 1;
-            }
-            (w, victim)
-        };
-        self.tags[base + way] = Some(block);
+        let (way, evicted) =
+            if let Some(w) = (0..ways).find(|&w| self.tags[base + w] == INVALID_TAG) {
+                (w, None)
+            } else {
+                let w = self.evict(&ctx, base);
+                (w, Some(self.tags[base + w]))
+            };
+        self.tags[base + way] = block;
         self.policy.on_fill(way, &ctx);
         if let Some(e) = &mut self.efficiency {
             e.on_fill(set, way);

@@ -23,6 +23,12 @@ pub enum ConfigError {
         /// Requested block size in bytes.
         block_bytes: u64,
     },
+    /// A one-byte block: every address would be block-aligned, leaving
+    /// no value for [`crate::INVALID_TAG`] to mark an empty frame with.
+    BlockTooSmall {
+        /// The offending block size.
+        block_bytes: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -39,6 +45,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "capacity {capacity} is not a power-of-two multiple of {ways} ways x {block_bytes}B blocks"
             ),
+            ConfigError::BlockTooSmall { block_bytes } => {
+                write!(f, "block_bytes must be at least 2, got {block_bytes}")
+            }
         }
     }
 }
@@ -97,7 +106,8 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NotPowerOfTwo`] for invalid parameters.
+    /// Returns [`ConfigError::NotPowerOfTwo`] for invalid parameters and
+    /// [`ConfigError::BlockTooSmall`] for one-byte blocks.
     pub fn with_sets(sets: u32, ways: u32, block_bytes: u64) -> Result<CacheConfig, ConfigError> {
         for (field, value) in [
             ("sets", u64::from(sets)),
@@ -107,6 +117,9 @@ impl CacheConfig {
             if value == 0 || !value.is_power_of_two() {
                 return Err(ConfigError::NotPowerOfTwo { field, value });
             }
+        }
+        if block_bytes < 2 {
+            return Err(ConfigError::BlockTooSmall { block_bytes });
         }
         Ok(CacheConfig {
             sets,
@@ -201,6 +214,15 @@ mod tests {
         assert!(CacheConfig::with_sets(128, 6, 64).is_err());
         assert!(CacheConfig::with_sets(128, 8, 48).is_err());
         assert!(CacheConfig::with_sets(0, 8, 64).is_err());
+    }
+
+    #[test]
+    fn rejects_one_byte_blocks() {
+        assert_eq!(
+            CacheConfig::with_sets(4, 2, 1),
+            Err(ConfigError::BlockTooSmall { block_bytes: 1 })
+        );
+        assert!(CacheConfig::with_sets(4, 2, 2).is_ok());
     }
 
     #[test]

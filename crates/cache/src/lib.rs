@@ -41,7 +41,7 @@ pub mod fastmap;
 pub mod index;
 pub mod policy;
 
-pub use crate::cache::{AccessResult, Cache, CacheStats};
+pub use crate::cache::{AccessResult, Cache, CacheStats, INVALID_TAG};
 pub use config::{CacheConfig, ConfigError};
 pub use efficiency::{EfficiencyMap, EfficiencyTracker};
 pub use fastmap::{FastHasher, FastMap};

@@ -2,15 +2,15 @@
 
 #![forbid(unsafe_code)]
 
-use super::{AccessContext, ReplacementPolicy};
+use super::{next_stamp, AccessContext, ReplacementPolicy};
 use crate::CacheConfig;
 
 /// FIFO: evict the block that was *filled* earliest, ignoring hits.
 #[derive(Debug, Clone)]
 pub struct Fifo {
     ways: usize,
-    fill_time: Vec<u64>,
-    clock: u64,
+    fill_time: Vec<u32>,
+    clock: u32,
 }
 
 impl Fifo {
@@ -37,8 +37,8 @@ impl ReplacementPolicy for Fifo {
     fn on_evict(&mut self, _way: usize, _victim_block: u64, _ctx: &AccessContext) {}
 
     fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
-        self.clock += 1;
-        self.fill_time[ctx.set * self.ways + way] = self.clock;
+        let stamp = next_stamp(&mut self.clock, &mut self.fill_time, self.ways);
+        self.fill_time[ctx.set * self.ways + way] = stamp;
     }
 
     fn reset(&mut self) {
@@ -80,6 +80,25 @@ mod tests {
                 evicted: Some(0x000)
             }
         );
+    }
+
+    #[test]
+    fn fill_order_survives_clock_wrap() {
+        let cfg = CacheConfig::with_sets(1, 4, 64).unwrap();
+        let mut c = Cache::new(cfg, Fifo::new(cfg));
+        c.policy_mut().clock = u32::MAX - 2;
+        for b in [0x000u64, 0x040, 0x080, 0x0c0] {
+            c.access(b, 0);
+        }
+        // The fourth fill wrapped the clock; fill order must be intact.
+        for (incoming, evicted) in [(0x100, 0x000), (0x140, 0x040), (0x180, 0x080)] {
+            assert_eq!(
+                c.access(incoming, 0),
+                AccessResult::Miss {
+                    evicted: Some(evicted)
+                }
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 #![forbid(unsafe_code)]
 
-use super::{AccessContext, ReplacementPolicy};
+use super::{next_stamp, AccessContext, ReplacementPolicy};
 use crate::CacheConfig;
 
 /// True LRU via per-frame virtual timestamps.
@@ -13,9 +13,10 @@ use crate::CacheConfig;
 #[derive(Debug, Clone)]
 pub struct Lru {
     ways: usize,
-    /// Last-touch time per frame, `sets × ways`.
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Last-touch time per frame, `sets × ways` (see
+    /// [`super::next_stamp`] for the wrap handling).
+    stamps: Vec<u32>,
+    clock: u32,
 }
 
 impl Lru {
@@ -29,8 +30,8 @@ impl Lru {
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
+        let stamp = next_stamp(&mut self.clock, &mut self.stamps, self.ways);
+        self.stamps[set * self.ways + way] = stamp;
     }
 }
 
@@ -107,6 +108,66 @@ mod tests {
             }
         );
         assert!(c.contains(0x000));
+    }
+
+    /// Reference LRU with unbounded `u64` stamps (the pre-`u32` layout).
+    struct WideLru {
+        ways: usize,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl ReplacementPolicy for WideLru {
+        fn on_hit(&mut self, way: usize, ctx: &AccessContext) {
+            self.clock += 1;
+            self.stamps[ctx.set * self.ways + way] = self.clock;
+        }
+        fn choose_victim(&mut self, ctx: &AccessContext) -> usize {
+            let base = ctx.set * self.ways;
+            (0..self.ways)
+                .min_by_key(|&w| self.stamps[base + w])
+                .unwrap_or(0)
+        }
+        fn on_evict(&mut self, _way: usize, _victim_block: u64, _ctx: &AccessContext) {}
+        fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
+            self.on_hit(way, ctx);
+        }
+        fn reset(&mut self) {}
+        fn name(&self) -> String {
+            "WideLRU".to_owned()
+        }
+    }
+
+    #[test]
+    fn wrapping_u32_stamps_match_u64_reference() {
+        let cfg = CacheConfig::with_sets(4, 4, 64).unwrap();
+        let mut narrow = Cache::new(cfg, Lru::new(cfg));
+        let mut wide = Cache::new(
+            cfg,
+            WideLru {
+                ways: 4,
+                stamps: vec![0; cfg.frames()],
+                clock: 0,
+            },
+        );
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..20_000u32 {
+            // Force the clock to the wrap point again and again.
+            if i % 997 == 0 {
+                narrow.policy_mut().clock = u32::MAX - 3;
+            }
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x % 40) * 64;
+            assert_eq!(narrow.access(addr, 0), wide.access(addr, 0), "access {i}");
+            assert!(super::super::check_lru_stack(
+                &narrow.policy().stamps,
+                4,
+                narrow.policy().clock
+            )
+            .is_ok());
+        }
     }
 
     #[test]

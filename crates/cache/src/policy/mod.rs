@@ -13,6 +13,7 @@ mod duel;
 mod fifo;
 mod lru;
 mod random;
+mod recency;
 mod srrip;
 mod validate;
 
@@ -25,6 +26,7 @@ pub use duel::{
 pub use fifo::Fifo;
 pub use lru::Lru;
 pub use random::RandomPolicy;
+pub use recency::next_stamp;
 pub use srrip::Srrip;
 pub use validate::{check_lru_stack, PolicyInvariants, ValidatingPolicy};
 
@@ -86,9 +88,11 @@ pub trait ReplacementPolicy {
     /// recycle policy state across suite tasks instead of reallocating
     /// it; the scheduler equivalence suite checks the contract.
     ///
-    /// State *shared between* policy instances (e.g. the GHRP predictor
-    /// behind a `SharedGhrp` handle) is external and must be reset by its
-    /// owner; `reset` only restores the instance's own fields.
+    /// A predictor trainer *shared between* policy instances (GHRP's
+    /// history, shadow array and tables behind a `SharedGhrp` handle,
+    /// SDBP's sampler behind an `SdbpTrainer`) is rewound by every
+    /// sharer's `reset`. That reset is idempotent, and every sharer must
+    /// be reset before any of them sees the next access.
     fn reset(&mut self);
 
     /// Short human-readable policy name (used in experiment output).

@@ -45,7 +45,7 @@ pub trait PolicyInvariants {
 /// # Errors
 ///
 /// Returns a description naming the offending set.
-pub fn check_lru_stack(stamps: &[u64], ways: usize, clock: u64) -> Result<(), String> {
+pub fn check_lru_stack(stamps: &[u32], ways: usize, clock: u32) -> Result<(), String> {
     if ways == 0 {
         return Err("policy configured with zero ways".into());
     }

@@ -3,6 +3,7 @@
 #![forbid(unsafe_code)]
 
 use crate::shared::SharedGhrp;
+use fe_cache::policy::next_stamp;
 use fe_cache::{AccessContext, CacheConfig, ReplacementPolicy};
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +41,9 @@ pub struct GhrpPolicyStats {
 /// train-on-hit/train-on-evict events come from a shadow LRU tag array of
 /// the same geometry rather than from the policy's own decisions, which
 /// keeps the learned label a stable "dead under LRU" (see the config
-/// field's documentation for the rationale).
+/// field's documentation for the rationale). The history, shadow array
+/// and tables then live in a trainer that lanes may share
+/// ([`SharedGhrp::new_lane`]); this policy keeps only per-frame state.
 #[derive(Debug, Clone)]
 // The bools are hot-path caches of independent GhrpConfig flags, not state.
 #[allow(clippy::struct_excessive_bools)]
@@ -49,17 +52,13 @@ pub struct GhrpPolicy {
     ways: usize,
     /// LRU stamps per frame (the paper's 3 LRU-stack bits, implemented as
     /// exact timestamps).
-    stamps: Vec<u64>,
-    clock: u64,
-    /// Which block occupies each frame (policy-side mirror of the tag
-    /// array, needed to read victim metadata during victim selection).
-    frame_block: Vec<Option<u64>>,
-    /// Signature of the in-flight access, computed in `on_access`.
+    stamps: Vec<u32>,
+    clock: u32,
+    /// Demand accesses seen: this policy's position in the trainer's
+    /// step sequence.
+    accesses: u64,
+    /// Signature of the in-flight access, read back in `on_access`.
     current_sig: u16,
-    /// Shadow LRU tag array used for decoupled training.
-    shadow_block: Vec<Option<u64>>,
-    shadow_sig: Vec<u16>,
-    shadow_stamps: Vec<u64>,
     shadow_training: bool,
     // Immutable-after-construction config flags, cached out of the shared
     // state so the hot path skips a borrow + config copy per query.
@@ -72,21 +71,19 @@ pub struct GhrpPolicy {
 
 impl GhrpPolicy {
     /// Create a GHRP policy for a cache with geometry `cfg`, backed by the
-    /// `shared` predictor (which the BTB may also hold).
+    /// `shared` predictor (which the BTB may also hold). Sizes the
+    /// handle's metadata column for `cfg` ([`SharedGhrp::attach_icache`]).
     pub fn new(cfg: CacheConfig, shared: SharedGhrp) -> GhrpPolicy {
         let gcfg = shared.config();
-        let shadow_training = gcfg.shadow_training;
+        shared.attach_icache(cfg);
         GhrpPolicy {
             shared,
             ways: cfg.ways() as usize,
             stamps: vec![0; cfg.frames()],
             clock: 0,
-            frame_block: vec![None; cfg.frames()],
+            accesses: 0,
             current_sig: 0,
-            shadow_block: vec![None; if shadow_training { cfg.frames() } else { 0 }],
-            shadow_sig: vec![0; if shadow_training { cfg.frames() } else { 0 }],
-            shadow_stamps: vec![0; if shadow_training { cfg.frames() } else { 0 }],
-            shadow_training,
+            shadow_training: gcfg.shadow_training,
             enable_bypass: gcfg.enable_bypass,
             protect_mru: gcfg.protect_mru,
             prefer_young_dead: gcfg.prefer_young_dead,
@@ -106,51 +103,18 @@ impl GhrpPolicy {
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
-    }
-
-    /// Drive the shadow LRU array for one access: its hits and evictions
-    /// are the (policy-independent) training events.
-    fn shadow_access(&mut self, ctx: &AccessContext) {
-        let base = ctx.set * self.ways;
-        self.clock += 1;
-        for w in 0..self.ways {
-            if self.shadow_block[base + w] == Some(ctx.block_addr) {
-                // Shadow hit: the previous signature led to a reuse.
-                self.shared.train(self.shadow_sig[base + w], false);
-                self.shadow_sig[base + w] = self.current_sig;
-                self.shadow_stamps[base + w] = self.clock;
-                return;
-            }
-        }
-        // Shadow miss: evict shadow-LRU, training its signature dead.
-        let victim = (0..self.ways)
-            .min_by_key(|&w| {
-                (
-                    self.shadow_block[base + w].is_some(),
-                    self.shadow_stamps[base + w],
-                )
-            })
-            .unwrap_or(0); // ways >= 1 by construction; hot path stays panic-free
-        if self.shadow_block[base + victim].is_some() {
-            self.shared.train(self.shadow_sig[base + victim], true);
-        }
-        self.shadow_block[base + victim] = Some(ctx.block_addr);
-        self.shadow_sig[base + victim] = self.current_sig;
-        self.shadow_stamps[base + victim] = self.clock;
+        let stamp = next_stamp(&mut self.clock, &mut self.stamps, self.ways);
+        self.stamps[set * self.ways + way] = stamp;
     }
 }
 
 impl ReplacementPolicy for GhrpPolicy {
     fn on_access(&mut self, ctx: &AccessContext) {
-        // Signature first (from the history *excluding* this access), then
-        // advance the speculative history with this access — one shared
-        // borrow via the combined hot-path entry.
-        self.current_sig = self.shared.access_signature(ctx.block_addr);
-        if self.shadow_training {
-            self.shadow_access(ctx);
-        }
+        // Signature from the history *excluding* this access, history
+        // update and shadow training happen once per access in the
+        // (possibly shared) trainer.
+        self.accesses += 1;
+        self.current_sig = self.shared.access(self.accesses, ctx.block_addr, ctx.set);
     }
 
     fn on_hit(&mut self, way: usize, ctx: &AccessContext) {
@@ -159,9 +123,12 @@ impl ReplacementPolicy for GhrpPolicy {
         // equivalent event was already recorded by the shadow array, so
         // the old signature trains live only in direct-training mode.
         // Re-tag with the current signature and a fresh prediction bit.
-        let old = self
-            .shared
-            .rehit_meta(ctx.block_addr, self.current_sig, !self.shadow_training);
+        let old = self.shared.rehit(
+            ctx.set * self.ways + way,
+            ctx.block_addr,
+            self.current_sig,
+            !self.shadow_training,
+        );
         if old.is_some_and(|o| o.predicted_dead) {
             self.stats.false_dead_hits += 1;
         }
@@ -172,7 +139,7 @@ impl ReplacementPolicy for GhrpPolicy {
         if !self.enable_bypass {
             return false;
         }
-        let bypass = self.shared.predict_bypass(self.current_sig);
+        let bypass = self.shared.bypass_vote();
         if bypass {
             self.stats.bypasses += 1;
         }
@@ -181,40 +148,34 @@ impl ReplacementPolicy for GhrpPolicy {
 
     fn choose_victim(&mut self, ctx: &AccessContext) -> usize {
         let base = ctx.set * self.ways;
+        let stamps = &self.stamps[base..base + self.ways];
         // Algorithm 5: first predicted-dead block, else LRU. Optionally
         // exempt the MRU way (see `GhrpConfig::protect_mru`).
-        let mru = (0..self.ways)
-            .max_by_key(|&w| self.stamps[base + w])
-            .unwrap_or(0); // ways >= 1 by construction; hot path stays panic-free
-        let mut best: Option<(u64, usize)> = None;
-        for w in 0..self.ways {
-            if self.protect_mru && w == mru {
-                continue;
-            }
-            if let Some(block) = self.frame_block[base + w] {
-                let dead = self
-                    .shared
-                    .victim_is_dead(block, self.fresh_victim_prediction);
-                if dead {
-                    if !self.prefer_young_dead {
-                        self.stats.dead_victims += 1;
-                        return w;
+        let mru = (0..self.ways).max_by_key(|&w| stamps[w]).unwrap_or(0); // ways >= 1 by construction; hot path stays panic-free
+        let (protect_mru, prefer_young) = (self.protect_mru, self.prefer_young_dead);
+        let dead = self
+            .shared
+            .with_dead_votes(self.fresh_victim_prediction, |votes| {
+                let mut best: Option<(u32, usize)> = None;
+                for (w, &stamp) in stamps.iter().enumerate() {
+                    if (protect_mru && w == mru) || !votes.is_dead(base + w) {
+                        continue;
                     }
-                    let stamp = self.stamps[base + w];
+                    if !prefer_young {
+                        return Some(w);
+                    }
                     if best.is_none_or(|(s, _)| stamp > s) {
                         best = Some((stamp, w));
                     }
                 }
-            }
-        }
-        if let Some((_, w)) = best {
+                best.map(|(_, w)| w)
+            });
+        if let Some(w) = dead {
             self.stats.dead_victims += 1;
             return w;
         }
         self.stats.lru_victims += 1;
-        (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .unwrap_or(0) // ways >= 1 by construction; hot path stays panic-free
+        (0..self.ways).min_by_key(|&w| stamps[w]).unwrap_or(0) // ways >= 1 by construction; hot path stays panic-free
     }
 
     fn on_evict(&mut self, way: usize, victim_block: u64, ctx: &AccessContext) {
@@ -222,29 +183,30 @@ impl ReplacementPolicy for GhrpPolicy {
         // 6). With shadow training the dead label instead comes from the
         // shadow array's own eviction of this block, so the signature
         // trains dead only in direct-training mode.
-        let meta = self.shared.evict_meta(victim_block, !self.shadow_training);
+        let meta = self.shared.evict(
+            ctx.set * self.ways + way,
+            victim_block,
+            !self.shadow_training,
+        );
         if meta.is_some_and(|m| !m.predicted_dead) {
             self.stats.unpredicted_deaths += 1;
         }
-        self.frame_block[ctx.set * self.ways + way] = None;
     }
 
     fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
-        self.shared.fill_meta(ctx.block_addr, self.current_sig);
-        self.frame_block[ctx.set * self.ways + way] = Some(ctx.block_addr);
+        self.shared
+            .fill(ctx.set * self.ways + way, ctx.block_addr, self.current_sig);
         self.touch(ctx.set, way);
     }
 
     fn reset(&mut self) {
-        // Private fields only; the pair's owner resets `SharedGhrp` once
-        // so the shared tables are not cleared per policy.
+        // The shared trainer's reset is idempotent: every lane sharing it
+        // resets it before the next access.
+        self.shared.reset();
         self.stamps.fill(0);
         self.clock = 0;
-        self.frame_block.fill(None);
+        self.accesses = 0;
         self.current_sig = 0;
-        self.shadow_block.fill(None);
-        self.shadow_sig.fill(0);
-        self.shadow_stamps.fill(0);
         self.stats = GhrpPolicyStats::default();
     }
 
@@ -255,25 +217,15 @@ impl ReplacementPolicy for GhrpPolicy {
 
 impl fe_cache::policy::PolicyInvariants for GhrpPolicy {
     fn check_invariants(&self) -> Result<(), String> {
-        // Recency stamps (and the shadow array's, when enabled) must form
-        // an LRU stack per set.
+        // Recency stamps must form an LRU stack per set (the shadow
+        // array's are checked with the trainer below).
         fe_cache::policy::check_lru_stack(&self.stamps, self.ways, self.clock)?;
-        if self.shadow_training {
-            fe_cache::policy::check_lru_stack(&self.shadow_stamps, self.ways, self.clock)?;
-        }
-        // Every resident block must carry metadata in the shared store —
-        // the BTB side reads predictions through it.
-        for (frame, block) in self.frame_block.iter().enumerate() {
-            if let Some(b) = block {
-                if self.shared.meta(*b).is_none() {
-                    return Err(format!(
-                        "frame {frame}: resident block {b:#x} has no shared metadata"
-                    ));
-                }
-            }
-        }
-        // Counter ranges, skewed-index bounds and exact misprediction
-        // recovery (paper §III.F) live in the shared predictor.
+        // Every resident frame must carry metadata the BTB side can find
+        // by scanning the block's set.
+        self.shared.check_metadata()?;
+        // Counter ranges, skewed-index bounds, exact misprediction
+        // recovery (paper §III.F) and the shadow LRU stack live in the
+        // shared trainer.
         self.shared.check_invariants()
     }
 }
@@ -478,5 +430,54 @@ mod tests {
             run_ghrp < run_lru,
             "GHRP misses {run_ghrp} should beat LRU misses {run_lru}"
         );
+    }
+
+    #[test]
+    fn invariants_require_reachable_metadata_for_resident_frames() {
+        use fe_cache::policy::PolicyInvariants;
+        let (mut c, s) = mk(|c| c.enable_bypass = false);
+        for b in [0x000u64, 0x040, 0x100] {
+            c.access(b, 0);
+        }
+        assert!(c.policy().check_invariants().is_ok());
+        // Frame 0 (set 0) claims a block of set 1: the set scan the BTB
+        // uses can no longer find it.
+        s.corrupt_frame(0, 0x040);
+        let err = c.policy().check_invariants().unwrap_err();
+        assert!(err.contains("no reachable metadata"), "{err}");
+    }
+
+    /// Victims, bypasses and hit/miss outcomes with every recency clock
+    /// forced to the `u32` wrap point again and again must equal a run
+    /// whose clocks never come near it (where `u32` stamps behave as the
+    /// unbounded `u64` reference).
+    #[test]
+    fn wrapping_u32_stamps_choose_the_same_victims() {
+        for shadow in [true, false] {
+            let tweak = |c: &mut GhrpConfig| {
+                c.shadow_training = shadow;
+                c.prefer_young_dead = true;
+            };
+            let (mut reference, _) = mk(tweak);
+            let (mut wrapped, ws) = mk(tweak);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..20_000u32 {
+                if i % 613 == 0 {
+                    wrapped.policy_mut().clock = u32::MAX - 2;
+                    ws.force_shadow_clock(u32::MAX - 1);
+                }
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let block = (x % 24) * 64;
+                assert_eq!(
+                    wrapped.access(block, 0),
+                    reference.access(block, 0),
+                    "access {i} (shadow {shadow})"
+                );
+            }
+            assert_eq!(wrapped.policy().stats(), reference.policy().stats());
+            assert!(reference.policy().stats().dead_victims > 0);
+        }
     }
 }

@@ -14,10 +14,11 @@
 use crate::config::{Aggregation, GhrpConfig};
 use crate::signature::table_index;
 
-/// The GHRP counter arrays.
+/// The GHRP counter arrays, stored flat: table `t` occupies
+/// `counters[t << index_bits ..][.. 1 << index_bits]`.
 #[derive(Debug, Clone)]
 pub struct PredictionTables {
-    counters: Vec<Vec<u8>>,
+    counters: Vec<u8>,
     index_bits: u32,
     counter_max: u8,
     aggregation: Aggregation,
@@ -36,7 +37,7 @@ impl PredictionTables {
             panic!("invalid GhrpConfig: {e}");
         }
         PredictionTables {
-            counters: vec![vec![0u8; cfg.table_entries]; cfg.num_tables],
+            counters: vec![0u8; cfg.table_entries * cfg.num_tables],
             index_bits: cfg.index_bits(),
             counter_max: cfg.counter_max(),
             aggregation: cfg.aggregation,
@@ -49,10 +50,15 @@ impl PredictionTables {
         self.num_tables
     }
 
+    /// Flat position of `signature`'s counter in table `t`.
+    fn slot(&self, signature: u16, t: usize) -> usize {
+        (t << self.index_bits) | table_index(signature, t, self.index_bits)
+    }
+
     /// Read the counters a signature maps to (Algorithm 4, `GetCounters`).
     pub fn counters(&self, signature: u16) -> Vec<u8> {
         (0..self.num_tables)
-            .map(|t| self.counters[t][table_index(signature, t, self.index_bits)])
+            .map(|t| self.counters[self.slot(signature, t)])
             .collect()
     }
 
@@ -60,8 +66,8 @@ impl PredictionTables {
     /// counter when the block proved dead, decrement when it proved live.
     pub fn update(&mut self, signature: u16, is_dead: bool) {
         for t in 0..self.num_tables {
-            let i = table_index(signature, t, self.index_bits);
-            let c = &mut self.counters[t][i];
+            let i = self.slot(signature, t);
+            let c = &mut self.counters[i];
             if is_dead {
                 *c = c.saturating_add(1).min(self.counter_max);
             } else {
@@ -73,31 +79,38 @@ impl PredictionTables {
     /// Predict whether a block accessed under `signature` is dead, using
     /// the given per-counter threshold (Algorithm 3).
     ///
-    /// Allocation-free: this runs several times per I-cache access in the
-    /// simulator hot path (hit re-tag, fill, victim scan, BTB coupling),
-    /// so the votes are folded inline rather than collected via
-    /// [`PredictionTables::counters`].
+    /// Allocation-free: this runs in the simulator hot path (victim
+    /// scan, BTB coupling), so the votes are folded inline rather than
+    /// collected via [`PredictionTables::counters`].
     pub fn predict(&self, signature: u16, threshold: u8) -> bool {
+        self.predict_pair(signature, threshold, threshold).0
+    }
+
+    /// [`PredictionTables::predict`] under two thresholds at once, reading
+    /// each counter once — the dead and bypass votes of one access.
+    pub fn predict_pair(&self, signature: u16, first: u8, second: u8) -> (bool, bool) {
         match self.aggregation {
             Aggregation::MajorityVote => {
-                let dead = (0..self.num_tables)
-                    .filter(|&t| {
-                        self.counters[t][table_index(signature, t, self.index_bits)] >= threshold
-                    })
-                    .count();
-                dead * 2 > self.num_tables
+                let (mut a, mut b) = (0, 0);
+                for t in 0..self.num_tables {
+                    let c = self.counters[self.slot(signature, t)];
+                    a += usize::from(c >= first);
+                    b += usize::from(c >= second);
+                }
+                (a * 2 > self.num_tables, b * 2 > self.num_tables)
             }
             Aggregation::Sum => {
                 let sum: u32 = (0..self.num_tables)
-                    .map(|t| {
-                        u32::from(self.counters[t][table_index(signature, t, self.index_bits)])
-                    })
+                    .map(|t| u32::from(self.counters[self.slot(signature, t)]))
                     .sum();
                 // Truncation-safe: GhrpConfig::validate caps num_tables
                 // at 8.
                 #[allow(clippy::cast_possible_truncation)]
                 let tables = self.num_tables as u32;
-                sum >= u32::from(threshold) * tables
+                (
+                    sum >= u32::from(first) * tables,
+                    sum >= u32::from(second) * tables,
+                )
             }
         }
     }
@@ -105,40 +118,41 @@ impl PredictionTables {
     /// Fraction of counters that are saturated at max — a diagnostic for
     /// table pressure.
     pub fn saturation(&self) -> f64 {
-        let total: usize = self.counters.iter().map(Vec::len).sum();
         let sat: usize = self
             .counters
             .iter()
-            .flatten()
-            .filter(|&&c| c == self.counter_max)
-            .count();
-        sat as f64 / total as f64
+            .map(|&c| usize::from(c == self.counter_max))
+            .sum();
+        sat as f64 / self.counters.len() as f64
     }
 
-    /// Validate the table invariants: every table has exactly
-    /// `2^index_bits` entries, every counter is within `[0, counter_max]`,
-    /// and the skewed index hashes stay in bounds for representative
-    /// signatures.
+    /// Validate the table invariants: the flat array holds exactly
+    /// `num_tables × 2^index_bits` counters, every counter is within
+    /// `[0, counter_max]`, and the skewed index hashes stay in bounds for
+    /// representative signatures.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         let entries = 1usize << self.index_bits;
-        for (t, table) in self.counters.iter().enumerate() {
-            if table.len() != entries {
-                return Err(format!(
-                    "table {t}: {} entries, expected 2^{} = {entries}",
-                    table.len(),
-                    self.index_bits
-                ));
-            }
-            if let Some(i) = table.iter().position(|&c| c > self.counter_max) {
-                return Err(format!(
-                    "table {t} counter {i}: value {} exceeds max {}",
-                    table[i], self.counter_max
-                ));
-            }
+        if self.counters.len() != entries * self.num_tables {
+            return Err(format!(
+                "{} counters, expected {} tables x 2^{} = {}",
+                self.counters.len(),
+                self.num_tables,
+                self.index_bits,
+                entries * self.num_tables
+            ));
+        }
+        if let Some(i) = self.counters.iter().position(|&c| c > self.counter_max) {
+            return Err(format!(
+                "table {} counter {}: value {} exceeds max {}",
+                i >> self.index_bits,
+                i & (entries - 1),
+                self.counters[i],
+                self.counter_max
+            ));
         }
         // The skewed hashes must land inside the tables for any signature;
         // probe the corners and a couple of mixed patterns.
@@ -158,9 +172,7 @@ impl PredictionTables {
 
     /// Reset all counters to zero.
     pub fn clear(&mut self) {
-        for t in &mut self.counters {
-            t.fill(0);
-        }
+        self.counters.fill(0);
     }
 }
 
@@ -235,15 +247,15 @@ mod tests {
         for _ in 0..3 {
             t.update(0x42, true);
         }
-        let idx0 = table_index(0x42, 0, 12);
-        t.counters[0][idx0] = 0;
+        let idx0 = t.slot(0x42, 0);
+        t.counters[idx0] = 0;
         assert!(
             t.predict(0x42, 2),
             "2 of 3 tables above threshold still predicts dead"
         );
         // Two aliased tables defeat the vote.
-        let idx1 = table_index(0x42, 1, 12);
-        t.counters[1][idx1] = 0;
+        let idx1 = t.slot(0x42, 1);
+        t.counters[idx1] = 0;
         assert!(!t.predict(0x42, 2));
     }
 
@@ -264,11 +276,33 @@ mod tests {
         assert!(sum_t.predict(sig, 2));
         assert!(vote_t.predict(sig, 2));
         // Now knock one table to 0: sum 4 < 6 → live; vote 2of3 → dead.
-        let i = table_index(sig, 2, 12);
-        sum_t.counters[2][i] = 0;
-        vote_t.counters[2][i] = 0;
+        let i = vote_t.slot(sig, 2);
+        sum_t.counters[i] = 0;
+        vote_t.counters[i] = 0;
         assert!(!sum_t.predict(sig, 2));
         assert!(vote_t.predict(sig, 2));
+    }
+
+    #[test]
+    fn paired_votes_match_single_votes() {
+        for aggregation in [Aggregation::MajorityVote, Aggregation::Sum] {
+            let mut cfg = paper_cfg();
+            cfg.aggregation = aggregation;
+            let mut t = PredictionTables::new(&cfg);
+            for sig in 0..64u16 {
+                for _ in 0..(sig % 4) {
+                    t.update(sig, true);
+                }
+            }
+            for sig in 0..64u16 {
+                for (a, b) in [(1, 3), (2, 2), (3, 1)] {
+                    assert_eq!(
+                        t.predict_pair(sig, a, b),
+                        (t.predict(sig, a), t.predict(sig, b))
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //! and driving the shared predictors a single time, and broadcasts every
 //! fetch group and branch event to N independent **policy lanes**.
 //!
-//! Each lane owns exactly the per-policy state of a standalone run: its
-//! I-cache, its BTB, and (for GHRP/SDBP) its predictor tables including
-//! the §III.F dual history. The branch-predictor outcome stream that
-//! triggers wrong-path injection is policy-independent — the shared
-//! predictors never read cache state — so each lane observes the same
-//! event sequence, in the same order, as a standalone simulation, and its
-//! counters stay **bit-identical** to the legacy per-policy path (proved
-//! by the `engine_equivalence` property suite).
+//! Each lane owns the per-policy state of a standalone run: its I-cache,
+//! its BTB and its policies' per-frame state. The policy-independent
+//! half of the predictive policies — GHRP's dual history (§III.F), shadow
+//! array and tables, and SDBP's samplers and tables — depends only on
+//! the demand access stream, so all lanes of one I-cache geometry share
+//! one *trainer* per predictor, stepped once per access by whichever lane
+//! reaches the access first (DESIGN §9.1). The branch-predictor outcome
+//! stream that triggers wrong-path injection is policy-independent too —
+//! the shared predictors never read cache state — so each lane observes
+//! the same event sequence, in the same order, as a standalone
+//! simulation, and its counters stay **bit-identical** to the legacy
+//! per-policy path (proved by the `engine_equivalence` property suite).
 //!
 //! Traces enter through [`ReplaySource`], which abstracts over a
 //! materialized record slice ([`SliceReplay`]) and a streaming replay of a
@@ -26,9 +30,10 @@
 
 #![forbid(unsafe_code)]
 
-use crate::policy::{build_pair, FrontendPair, PolicyKind};
+use crate::policy::{FrontendPair, PolicyKind, SharedTrainers};
 use crate::simulator::{offline_sequences, RunResult, SimConfig};
 use fe_branch::{HashedPerceptron, PredictorStats, ReturnAddressStack, TargetCache};
+use fe_btb::btb_config;
 use fe_trace::fetch::{FetchChunk, FetchStream};
 use fe_trace::record::{BranchKind, BranchRecord};
 use fe_trace::synth::{StreamedTrace, SyntheticTrace, Walker};
@@ -187,7 +192,9 @@ impl SharedFrontEnd {
     }
 }
 
-/// One policy lane: the complete per-policy state of a standalone run.
+/// One policy lane: the per-policy state of a standalone run (its
+/// predictor trainers may be shared with the other lanes of its
+/// geometry).
 struct Lane {
     policy: PolicyKind,
     pair: FrontendPair,
@@ -200,13 +207,11 @@ struct Lane {
 }
 
 impl Lane {
-    /// One I-cache access per fetch group (§IV.A), plus prefetch and
-    /// commit-time GHRP history retirement — the per-lane half of what
-    /// the legacy loop does per `starts_group` chunk.
+    /// One I-cache access per fetch group (§IV.A), plus miss-triggered
+    /// next-line prefetching.
     fn access_group(&mut self, chunk: &FetchChunk, cfg: &SimConfig) {
         self.groups += 1;
         let result = self.pair.icache.access(chunk.block_addr, chunk.first_pc);
-        // Miss-triggered next-line prefetching.
         if result.is_miss() && cfg.prefetch_degree > 0 {
             for i in 1..=u64::from(cfg.prefetch_degree) {
                 self.pair
@@ -214,52 +219,14 @@ impl Lane {
                     .prefetch(chunk.block_addr + i * cfg.icache.block_bytes());
             }
         }
-        // Commit-time (right-path) history retirement for GHRP: in this
-        // trace-driven model every fetched group retires.
-        if let (Some(shared), Some(_wp)) = (&self.pair.ghrp, cfg.wrong_path.as_ref()) {
-            shared.retire(chunk.block_addr);
-        }
     }
 
-    /// The per-lane half of a branch event: BTB refresh/allocate on taken
-    /// branches (skippable when the caller never reads BTB results — the
-    /// GHRP BTB policy only *reads* the shared predictor, so skipping it
-    /// leaves every I-cache counter bit-identical), then wrong-path
-    /// injection if the (shared) front end mispredicted.
-    fn observe_branch(
-        &mut self,
-        branch: &BranchRecord,
-        mispredicted: bool,
-        cfg: &SimConfig,
-        measure_btb: bool,
-    ) {
-        if measure_btb && branch.taken {
-            self.pair.btb.lookup_and_update(branch.pc, branch.target);
-        }
-        if mispredicted {
-            if let Some(wp) = cfg.wrong_path {
-                let block_bytes = cfg.icache.block_bytes();
-                // The wrong path is the direction not taken.
-                let wrong_start = if branch.taken {
-                    branch.fall_through()
-                } else {
-                    branch.target
-                };
-                let mut block = wrong_start & !(block_bytes - 1);
-                for _ in 0..wp.blocks_per_misprediction {
-                    let r = self.pair.icache.access(block, block);
-                    self.wrong_path_accesses += 1;
-                    if r.is_miss() {
-                        self.wrong_path_misses += 1;
-                    }
-                    block += block_bytes;
-                }
-                if wp.recover_history {
-                    if let Some(shared) = &self.pair.ghrp {
-                        shared.recover();
-                    }
-                }
-            }
+    /// One wrong-path I-cache access (pollution, not a demand miss).
+    fn access_wrong_path(&mut self, block: u64) {
+        let r = self.pair.icache.access(block, block);
+        self.wrong_path_accesses += 1;
+        if r.is_miss() {
+            self.wrong_path_misses += 1;
         }
     }
 
@@ -272,7 +239,9 @@ impl Lane {
 
     /// Restore the lane to its freshly-built state, reusing every
     /// allocation (cache arrays, BTB tables, predictor tables). Offline
-    /// lanes cannot be reused — their policy state is trace-derived.
+    /// lanes cannot be reused — their policy state is trace-derived. The
+    /// policies' `reset` also rewinds their (possibly shared) trainers;
+    /// that is idempotent, and every lane is reset before the next replay.
     fn reset_for_reuse(&mut self) {
         self.pair.icache.reset();
         self.pair.btb.reset();
@@ -281,11 +250,6 @@ impl Lane {
         // bit-identical to a rebuild, so clear the sticky state too.
         self.pair.icache.policy_mut().cold_restart();
         self.pair.btb.entries_mut().policy_mut().cold_restart();
-        // The shared GHRP state is external to both policies; reset it
-        // exactly once here, as the pair's owner.
-        if let Some(shared) = &self.pair.ghrp {
-            shared.reset();
-        }
         self.wrong_path_misses = 0;
         self.wrong_path_accesses = 0;
         self.groups = 0;
@@ -335,6 +299,9 @@ struct ArenaKey {
 pub struct EngineArena {
     key: Option<ArenaKey>,
     lanes: Vec<Lane>,
+    /// Lanes whose GHRP handle is the first on its trainer: history
+    /// retirement and recovery go through them, once per trainer.
+    ghrp_lanes: Vec<usize>,
 }
 
 impl EngineArena {
@@ -432,66 +399,11 @@ pub fn run_lanes_multi<S: ReplaySource>(
     }
 
     let reusable = !policies.iter().any(|p| p.is_offline());
-    let key_matches = reusable
-        && arena
-            .key
-            .as_ref()
-            .is_some_and(|k| k.base == *base && k.icaches == icaches && k.policies == policies);
-    if key_matches {
-        for lane in &mut arena.lanes {
-            lane.reset_for_reuse();
-        }
-    } else {
-        rebuild_arena(arena, base, icaches, policies, reusable, source);
-    }
-    let lanes = &mut arena.lanes;
-
+    prepare_arena(arena, base, icaches, policies, reusable, source);
     let mut fe = SharedFrontEnd::default();
     let warmup = (source.total_instructions() / 2).min(base.warmup_cap);
-    let mut warmed = warmup == 0;
-    let mut instructions = 0u64;
-    let mut measured_instructions = 0u64;
-
-    for chunk in FetchStream::new(source.replay(), block_bytes) {
-        instructions += u64::from(chunk.n_instr);
-        if warmed {
-            measured_instructions += u64::from(chunk.n_instr);
-        }
-        if chunk.starts_group {
-            for lane in lanes.iter_mut() {
-                lane.access_group(&chunk, base);
-            }
-        }
-        if let Some(branch) = chunk.branch {
-            let mispredicted = fe.observe(&branch);
-            for lane in lanes.iter_mut() {
-                lane.observe_branch(&branch, mispredicted, base, measure_btb);
-            }
-        }
-        if !warmed && instructions >= warmup {
-            warmed = true;
-            fe.reset_stats();
-            for lane in lanes.iter_mut() {
-                lane.reset_stats();
-            }
-        }
-    }
-
-    // Every lane consumed the identical event stream.
-    debug_assert!(
-        lanes.windows(2).all(|w| w[0].groups == w[1].groups),
-        "policy lanes diverged: fetch-group counts {:?}",
-        lanes.iter().map(|l| l.groups).collect::<Vec<_>>()
-    );
-
-    (0..icaches.len())
-        .map(|g| {
-            lanes[g * npols..(g + 1) * npols]
-                .iter()
-                .map(|lane| lane.finish(measured_instructions, &fe))
-                .collect()
-        })
-        .collect()
+    let measured = replay(arena, &mut fe, source.replay(), warmup, base, measure_btb);
+    lane_results(&arena.lanes, npols, measured, &fe)
 }
 
 /// One replayed slice of a phase-sampled run: the record range to
@@ -559,74 +471,180 @@ pub fn run_lanes_sampled(
             .collect();
     }
 
-    let key_matches = arena
-        .key
-        .as_ref()
-        .is_some_and(|k| k.base == *base && k.icaches == icaches && k.policies == policies);
-    if key_matches {
-        for lane in &mut arena.lanes {
-            lane.reset_for_reuse();
-        }
-    } else {
-        rebuild_arena(arena, base, icaches, policies, true, trace);
-    }
-    let lanes = &mut arena.lanes;
-
+    prepare_arena(arena, base, icaches, policies, true, trace);
     let mut fe = SharedFrontEnd::default();
     let mut out = Vec::with_capacity(segments.len());
     for seg in segments {
-        let warmup = seg.warmup_instructions;
-        let mut warmed = warmup == 0;
+        let records = trace.cursor_range(seg.rec_lo, seg.rec_hi);
+        let measured = replay(
+            arena,
+            &mut fe,
+            records,
+            seg.warmup_instructions,
+            base,
+            measure_btb,
+        );
+        // One result grid per segment: the function's output, built once
+        // per segment, not per record.
+        out.push(lane_results(&arena.lanes, npols, measured, &fe));
+    }
+    out
+}
+
+/// Replay `records` through every lane of `arena`, resetting the
+/// counters (never the state) once `warmup` instructions have passed —
+/// immediately when `warmup` is zero. Returns the measured instruction
+/// count.
+///
+/// Each fetch chunk runs in four lockstep phases, so every lane reaches
+/// demand access *n* of a shared trainer before any lane reaches *n + 1*:
+///
+/// 1. the I-cache group access (with its prefetches), for every lane;
+/// 2. the BTB lookup, for every lane;
+/// 3. each wrong-path block, for every lane;
+/// 4. GHRP history retirement and recovery, once per trainer.
+///
+/// A lane's own event order is the standalone one; retirement moves
+/// behind the BTB lookup and the wrong path, neither of which reads the
+/// retired history.
+fn replay(
+    arena: &mut EngineArena,
+    fe: &mut SharedFrontEnd,
+    records: impl Iterator<Item = BranchRecord>,
+    warmup: u64,
+    cfg: &SimConfig,
+    measure_btb: bool,
+) -> u64 {
+    let lanes = &mut arena.lanes;
+    let block_bytes = cfg.icache.block_bytes();
+    let mut warmed = warmup == 0;
+    if warmed {
+        fe.reset_stats();
+        for lane in lanes.iter_mut() {
+            lane.reset_stats();
+        }
+    }
+    let mut instructions = 0u64;
+    let mut measured = 0u64;
+    for chunk in FetchStream::new(records, block_bytes) {
+        instructions += u64::from(chunk.n_instr);
         if warmed {
-            // No warmup prefix: counters carried over from the previous
-            // segment must still be cleared at the measurement start.
+            measured += u64::from(chunk.n_instr);
+        }
+        if chunk.starts_group {
+            for lane in lanes.iter_mut() {
+                lane.access_group(&chunk, cfg);
+            }
+        }
+        let mut mispredicted = false;
+        if let Some(branch) = chunk.branch {
+            mispredicted = fe.observe(&branch);
+            // The GHRP BTB policy only reads the shared predictor, so
+            // skipping the BTB leaves every I-cache counter bit-identical.
+            if measure_btb && branch.taken {
+                for lane in lanes.iter_mut() {
+                    lane.pair.btb.lookup_and_update(branch.pc, branch.target);
+                }
+            }
+            if let (true, Some(wp)) = (mispredicted, cfg.wrong_path) {
+                // The wrong path is the direction not taken.
+                let wrong_start = if branch.taken {
+                    branch.fall_through()
+                } else {
+                    branch.target
+                };
+                let mut block = wrong_start & !(block_bytes - 1);
+                for _ in 0..wp.blocks_per_misprediction {
+                    for lane in lanes.iter_mut() {
+                        lane.access_wrong_path(block);
+                    }
+                    block += block_bytes;
+                }
+            }
+        }
+        // Commit-time (right-path) history retirement: in this
+        // trace-driven model every fetched group retires.
+        if let Some(wp) = cfg.wrong_path {
+            for ghrp in arena
+                .ghrp_lanes
+                .iter()
+                .filter_map(|&i| lanes[i].pair.ghrp.as_ref())
+            {
+                if chunk.starts_group {
+                    ghrp.retire(chunk.block_addr);
+                }
+                if mispredicted && wp.recover_history {
+                    ghrp.recover();
+                }
+            }
+        }
+        if !warmed && instructions >= warmup {
+            warmed = true;
             fe.reset_stats();
             for lane in lanes.iter_mut() {
                 lane.reset_stats();
             }
         }
-        let mut instructions = 0u64;
-        let mut measured_instructions = 0u64;
-        for chunk in FetchStream::new(trace.cursor_range(seg.rec_lo, seg.rec_hi), block_bytes) {
-            instructions += u64::from(chunk.n_instr);
-            if warmed {
-                measured_instructions += u64::from(chunk.n_instr);
-            }
-            if chunk.starts_group {
-                for lane in lanes.iter_mut() {
-                    lane.access_group(&chunk, base);
-                }
-            }
-            if let Some(branch) = chunk.branch {
-                let mispredicted = fe.observe(&branch);
-                for lane in lanes.iter_mut() {
-                    lane.observe_branch(&branch, mispredicted, base, measure_btb);
-                }
-            }
-            if !warmed && instructions >= warmup {
-                warmed = true;
-                fe.reset_stats();
-                for lane in lanes.iter_mut() {
-                    lane.reset_stats();
-                }
-            }
-        }
-        out.push(
-            (0..icaches.len())
-                .map(|g| {
-                    lanes[g * npols..(g + 1) * npols]
-                        .iter()
-                        .map(|lane| lane.finish(measured_instructions, &fe))
-                        .collect()
-                })
-                .collect(),
-        );
     }
-    out
+    // Every lane consumed the identical event stream.
+    debug_assert!(
+        lanes.windows(2).all(|w| w[0].groups == w[1].groups),
+        "policy lanes diverged: fetch-group counts {:?}",
+        lanes.iter().map(|l| l.groups).collect::<Vec<_>>()
+    );
+    measured
+}
+
+/// The per-lane results of one replay, geometry-major (`out[g][p]`).
+fn lane_results(
+    lanes: &[Lane],
+    npols: usize,
+    measured_instructions: u64,
+    fe: &SharedFrontEnd,
+) -> Vec<Vec<RunResult>> {
+    lanes
+        .chunks(npols)
+        .map(|geometry| {
+            geometry
+                .iter()
+                .map(|lane| lane.finish(measured_instructions, fe))
+                .collect()
+        })
+        .collect()
+}
+
+/// Make `arena` hold fresh lanes for (`base`, `icaches`, `policies`):
+/// reset the previous task's lanes in place when the key matches,
+/// otherwise rebuild them.
+fn prepare_arena<S: ReplaySource>(
+    arena: &mut EngineArena,
+    base: &SimConfig,
+    icaches: &[fe_cache::CacheConfig],
+    policies: &[PolicyKind],
+    reusable: bool,
+    source: &S,
+) {
+    let key_matches = reusable
+        && arena
+            .key
+            .as_ref()
+            .is_some_and(|k| k.base == *base && k.icaches == icaches && k.policies == policies);
+    if key_matches {
+        for lane in &mut arena.lanes {
+            lane.reset_for_reuse();
+        }
+    } else {
+        rebuild_arena(arena, base, icaches, policies, reusable, source);
+    }
 }
 
 /// Rebuild an arena's lane grid from scratch for a new
-/// (config, geometries, policies) key.
+/// (config, geometries, policies) key. The lanes of one geometry draw
+/// their predictor trainers from one pool.
+///
+/// # Panics
+///
+/// Panics if the BTB geometry in `base` is invalid.
 fn rebuild_arena<S: ReplaySource>(
     arena: &mut EngineArena,
     base: &SimConfig,
@@ -635,6 +653,13 @@ fn rebuild_arena<S: ReplaySource>(
     reusable: bool,
     source: &S,
 ) {
+    let Ok(btb_cfg) = btb_config(base.btb_entries, base.btb_ways) else {
+        // lint:allow(panic-path): construction-time config validation, once per rebuilt arena before any replay; documented `# Panics` on every engine entry point
+        panic!(
+            "invalid BTB geometry: {} entries, {} ways",
+            base.btb_entries, base.btb_ways
+        );
+    };
     // Offline (OPT) lanes need the full access sequences ahead of time:
     // precompute them once per trace and share across all offline lanes
     // (the block sequence is geometry-independent).
@@ -646,27 +671,39 @@ fn rebuild_arena<S: ReplaySource>(
             base.icache.block_bytes(),
         ))
     };
+    let opt = offline
+        .as_ref()
+        .map(|(blocks, pcs)| (blocks.as_slice(), pcs.as_slice()));
     arena.lanes.clear();
+    arena.ghrp_lanes.clear();
     for &icache in icaches {
+        let mut trainers = SharedTrainers::default();
         for &p in policies {
-            let seq = if p.is_offline() {
-                offline.as_ref()
-            } else {
-                None
-            };
+            let pair = trainers.build_pair(
+                p,
+                icache,
+                btb_cfg,
+                base.ghrp,
+                base.sdbp,
+                base.seed,
+                opt.filter(|_| p.is_offline()),
+            );
+            if let Some(g) = &pair.ghrp {
+                let lanes = &arena.lanes;
+                let seen = arena.ghrp_lanes.iter().any(|&i| {
+                    lanes[i]
+                        .pair
+                        .ghrp
+                        .as_ref()
+                        .is_some_and(|t| t.shares_trainer_with(g))
+                });
+                if !seen {
+                    arena.ghrp_lanes.push(arena.lanes.len());
+                }
+            }
             arena.lanes.push(Lane {
                 policy: p,
-                pair: build_pair(
-                    p,
-                    icache,
-                    base.btb_entries,
-                    base.btb_ways,
-                    base.ghrp,
-                    base.sdbp,
-                    base.seed,
-                    seq.map(|(blocks, _)| blocks.as_slice()),
-                    seq.map(|(_, pcs)| pcs.as_slice()),
-                ),
+                pair,
                 wrong_path_misses: 0,
                 wrong_path_accesses: 0,
                 groups: 0,
@@ -761,6 +798,77 @@ mod tests {
             let legacy =
                 Simulator::new(base.with_policy(p)).run(&trace.records, trace.instructions);
             assert_eq!(*r, legacy, "lane {p} diverged from legacy (prefetch)");
+        }
+    }
+
+    /// The GHRP-bearing lanes of the benchmark campaign.
+    fn ghrp_lanes() -> [PolicyKind; 4] {
+        use crate::policy::BasePolicy::{Ghrp, Lru, Sdbp, Srrip};
+        [
+            PolicyKind::Ghrp,
+            PolicyKind::duel(&[Ghrp, Srrip, Sdbp]),
+            PolicyKind::phase(&[Ghrp, Srrip], 512),
+            PolicyKind::duel(&[Sdbp, Lru]),
+        ]
+    }
+
+    /// Shadow training makes GHRP's trainer policy-independent: one per
+    /// geometry serves every GHRP-bearing lane.
+    #[test]
+    fn shadow_training_shares_one_ghrp_trainer_per_geometry() {
+        let trace = spec(19, 120_000).generate();
+        let mut base = SimConfig::paper_default();
+        base.wrong_path = Some(WrongPathConfig::default());
+        let pols = ghrp_lanes();
+        let geoms = [
+            base.icache,
+            fe_cache::CacheConfig::with_capacity(16 * 1024, 4, base.icache.block_bytes()).unwrap(),
+        ];
+        let mut arena = EngineArena::new();
+        let out = run_lanes_multi(
+            &base,
+            &geoms,
+            &pols,
+            true,
+            &SliceReplay::from_trace(&trace),
+            &mut arena,
+        );
+        assert_eq!(arena.ghrp_lanes, [0, 4], "one GHRP trainer per geometry");
+        for (g, icache) in geoms.iter().enumerate() {
+            for (r, &p) in out[g].iter().zip(&pols) {
+                let legacy = Simulator::new(base.with_icache(*icache).with_policy(p))
+                    .run(&trace.records, trace.instructions);
+                assert_eq!(*r, legacy, "lane {p} (geometry {g}) diverged");
+            }
+        }
+    }
+
+    /// GHRP's direct-training ablation learns from each lane's own
+    /// evictions, so every GHRP-bearing lane keeps its own trainer — and
+    /// stays bit-identical to its standalone run, also on arena reuse.
+    #[test]
+    fn direct_training_keeps_one_ghrp_trainer_per_lane() {
+        let trace = spec(23, 120_000).generate();
+        let mut base = SimConfig::paper_default();
+        base.wrong_path = Some(WrongPathConfig::default());
+        base.ghrp.shadow_training = false;
+        let pols = ghrp_lanes();
+        let mut arena = EngineArena::new();
+        for _ in 0..2 {
+            let out = run_lanes_multi(
+                &base,
+                &[base.icache],
+                &pols,
+                true,
+                &SliceReplay::from_trace(&trace),
+                &mut arena,
+            );
+            assert_eq!(arena.ghrp_lanes, [0, 1, 2], "one GHRP trainer per lane");
+            for (r, &p) in out[0].iter().zip(&pols) {
+                let legacy =
+                    Simulator::new(base.with_policy(p)).run(&trace.records, trace.instructions);
+                assert_eq!(*r, legacy, "lane {p} diverged (direct training)");
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use fe_cache::policy::{
     MAX_DUEL_CANDIDATES,
 };
 use fe_cache::{AccessContext, Cache, CacheConfig, ReplacementPolicy};
-use fe_sdbp::{CounterDbpPolicy, SdbpConfig, SdbpPolicy, ShipConfig, ShipPolicy};
+use fe_sdbp::{CounterDbpPolicy, SdbpConfig, SdbpPolicy, SdbpTrainer, ShipConfig, ShipPolicy};
 use ghrp_core::{GhrpConfig, GhrpPolicy, SharedGhrp};
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -46,6 +46,23 @@ impl BasePolicy {
             "sdbp" => Some(BasePolicy::Sdbp),
             "ghrp" => Some(BasePolicy::Ghrp),
             _ => None,
+        }
+    }
+
+    /// The candidate spelling of a static, online [`PolicyKind`]; `None`
+    /// for the offline oracle and the composites.
+    pub(crate) fn from_kind(kind: PolicyKind) -> Option<BasePolicy> {
+        match kind {
+            PolicyKind::Lru => Some(BasePolicy::Lru),
+            PolicyKind::Fifo => Some(BasePolicy::Fifo),
+            PolicyKind::Random => Some(BasePolicy::Random),
+            PolicyKind::Srrip => Some(BasePolicy::Srrip),
+            PolicyKind::Drrip => Some(BasePolicy::Drrip),
+            PolicyKind::Ship => Some(BasePolicy::Ship),
+            PolicyKind::CounterDbp => Some(BasePolicy::CounterDbp),
+            PolicyKind::Sdbp => Some(BasePolicy::Sdbp),
+            PolicyKind::Ghrp => Some(BasePolicy::Ghrp),
+            PolicyKind::Opt | PolicyKind::Duel(_) | PolicyKind::Phase(_) => None,
         }
     }
 
@@ -540,7 +557,173 @@ impl std::fmt::Debug for FrontendPair {
     }
 }
 
-/// Build the I-cache/BTB pair for `kind`.
+/// The policy-independent predictor state that the pairs built from one
+/// pool share: the GHRP trainer (history, shadow array, tables) and the
+/// SDBP I-cache and BTB trainers (sampler, tables).
+///
+/// Every pair built from one pool must have the same I-cache geometry and
+/// configuration and see the same demand access stream — true for the
+/// engine's lanes of one geometry, which run in lockstep. A fresh pool
+/// per pair gives a standalone pair its own trainers.
+#[derive(Debug, Default)]
+pub(crate) struct SharedTrainers {
+    ghrp: Option<SharedGhrp>,
+    sdbp_icache: Option<SdbpTrainer>,
+    sdbp_btb: Option<SdbpTrainer>,
+}
+
+impl SharedTrainers {
+    /// A GHRP handle for a new policy instance: a new lane of the pooled
+    /// trainer, or a fresh trainer that the pool keeps.
+    fn ghrp(&mut self, cfg: GhrpConfig, icache: CacheConfig) -> SharedGhrp {
+        match &self.ghrp {
+            Some(pooled) => pooled.new_lane(),
+            None => self
+                .ghrp
+                .insert(SharedGhrp::new(cfg, icache.offset_bits()))
+                .clone(),
+        }
+    }
+
+    fn sdbp(slot: &mut Option<SdbpTrainer>, geometry: CacheConfig, cfg: SdbpConfig) -> SdbpPolicy {
+        let trainer = slot.get_or_insert_with(|| SdbpTrainer::new(geometry, cfg));
+        SdbpPolicy::with_trainer(geometry, trainer.clone())
+    }
+
+    /// [`build_pair`] for a validated BTB geometry, drawing the predictive
+    /// policies' trainers from this pool. `offline` carries the I-cache
+    /// block and BTB PC sequences, required only for [`PolicyKind::Opt`].
+    ///
+    /// A direct-training GHRP trainer learns from its own lane's
+    /// evictions, so the pool keeps it for this pair only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is `Opt` and `offline` is `None`.
+    #[allow(clippy::too_many_arguments)] // a constructor-style fan-in; callers use named locals
+    pub(crate) fn build_pair(
+        &mut self,
+        kind: PolicyKind,
+        icache_cfg: CacheConfig,
+        btb_cfg: CacheConfig,
+        ghrp_cfg: GhrpConfig,
+        sdbp_cfg: SdbpConfig,
+        seed: u64,
+        offline: Option<(&[u64], &[u64])>,
+    ) -> FrontendPair {
+        // One online, non-composite policy — a static lane or one
+        // candidate of a hybrid, built identically (same seeds, same
+        // trainer wiring), which is what makes the single-candidate
+        // hybrid bit-identical to the static policy (pinned by the
+        // engine equivalence proptests). Yields the GHRP handle for GHRP.
+        let mut base = |policy: BasePolicy| -> (AnyPolicy, AnyPolicy, Option<SharedGhrp>) {
+            let (ipol, bpol) = match policy {
+                BasePolicy::Lru => (
+                    AnyPolicy::Lru(Lru::new(icache_cfg)),
+                    AnyPolicy::Lru(Lru::new(btb_cfg)),
+                ),
+                BasePolicy::Fifo => (
+                    AnyPolicy::Fifo(Fifo::new(icache_cfg)),
+                    AnyPolicy::Fifo(Fifo::new(btb_cfg)),
+                ),
+                BasePolicy::Random => (
+                    AnyPolicy::Random(RandomPolicy::new(icache_cfg, seed)),
+                    AnyPolicy::Random(RandomPolicy::new(btb_cfg, seed ^ 0xB7B_5EED)),
+                ),
+                BasePolicy::Srrip => (
+                    AnyPolicy::Srrip(Srrip::new(icache_cfg)),
+                    AnyPolicy::Srrip(Srrip::new(btb_cfg)),
+                ),
+                BasePolicy::Drrip => (
+                    AnyPolicy::Drrip(Drrip::new(icache_cfg)),
+                    AnyPolicy::Drrip(Drrip::new(btb_cfg)),
+                ),
+                BasePolicy::Ship => (
+                    AnyPolicy::Ship(ShipPolicy::new(icache_cfg, ShipConfig::default())),
+                    AnyPolicy::Ship(ShipPolicy::new(btb_cfg, ShipConfig::default())),
+                ),
+                BasePolicy::CounterDbp => (
+                    AnyPolicy::CounterDbp(CounterDbpPolicy::new(icache_cfg, 16 * 1024)),
+                    AnyPolicy::CounterDbp(CounterDbpPolicy::new(btb_cfg, 16 * 1024)),
+                ),
+                BasePolicy::Sdbp => (
+                    AnyPolicy::Sdbp(Self::sdbp(&mut self.sdbp_icache, icache_cfg, sdbp_cfg)),
+                    AnyPolicy::Sdbp(Self::sdbp(&mut self.sdbp_btb, btb_cfg, sdbp_cfg)),
+                ),
+                BasePolicy::Ghrp => {
+                    let shared = self.ghrp(ghrp_cfg, icache_cfg);
+                    return (
+                        AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
+                        AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
+                            btb_cfg,
+                            shared.clone(),
+                            icache_cfg.block_bytes(),
+                        )),
+                        Some(shared),
+                    );
+                }
+            };
+            (ipol, bpol, None)
+        };
+        let (ipol, bpol, ghrp) = match kind {
+            PolicyKind::Opt => {
+                let Some((blocks, pcs)) = offline else {
+                    // lint:allow(panic-path): input contract, not a runtime condition: the engine precomputes the sequences for every OPT lane, and `build_pair` checks them for direct callers
+                    panic!("OPT requires the offline I-cache block and BTB access sequences");
+                };
+                (
+                    AnyPolicy::Opt(BeladyOpt::from_trace(icache_cfg, blocks)),
+                    AnyPolicy::Opt(BeladyOpt::from_trace(btb_cfg, pcs)),
+                    None,
+                )
+            }
+            PolicyKind::Duel(spec) | PolicyKind::Phase(spec) => {
+                let mut ghrp = None;
+                let mut ic = Vec::with_capacity(spec.candidates().len());
+                let mut bc = Vec::with_capacity(spec.candidates().len());
+                for &c in spec.candidates() {
+                    let (i, b, g) = base(c);
+                    ic.push(i);
+                    bc.push(b);
+                    // Every GHRP candidate of the lane shares one
+                    // trainer; the first handle retires its history.
+                    ghrp = ghrp.or(g);
+                }
+                if let PolicyKind::Duel(_) = kind {
+                    let duel = DuelConfig::continuous();
+                    (
+                        AnyPolicy::Duel(DuelPolicy(DuelSelect::new(icache_cfg, duel, ic))),
+                        AnyPolicy::Duel(DuelPolicy(DuelSelect::new(btb_cfg, duel, bc))),
+                        ghrp,
+                    )
+                } else {
+                    let duel = DuelConfig::phase_adaptive(spec.window());
+                    (
+                        AnyPolicy::Phase(PhasePolicy(DuelSelect::new(icache_cfg, duel, ic))),
+                        AnyPolicy::Phase(PhasePolicy(DuelSelect::new(btb_cfg, duel, bc))),
+                        ghrp,
+                    )
+                }
+            }
+            _ => base(BasePolicy::from_kind(kind).unwrap_or(BasePolicy::Lru)),
+        };
+        if self
+            .ghrp
+            .as_ref()
+            .is_some_and(|g| !g.config().shadow_training)
+        {
+            self.ghrp = None;
+        }
+        FrontendPair {
+            icache: Cache::new(icache_cfg, ipol),
+            btb: Btb::new(btb_cfg, bpol),
+            ghrp,
+        }
+    }
+}
+
+/// Build the I-cache/BTB pair for `kind`, with its own predictor
+/// trainers.
 ///
 /// `icache_opt_blocks` / `btb_opt_pcs` supply the offline access sequences
 /// and are required only for [`PolicyKind::Opt`].
@@ -562,167 +745,15 @@ pub fn build_pair(
     btb_opt_pcs: Option<&[u64]>,
 ) -> FrontendPair {
     let btb_cfg = btb_config(btb_entries, btb_ways).expect("valid BTB geometry");
-    let (ipol, bpol, ghrp): (AnyPolicy, AnyPolicy, Option<SharedGhrp>) = match kind {
-        PolicyKind::Lru => (
-            AnyPolicy::Lru(Lru::new(icache_cfg)),
-            AnyPolicy::Lru(Lru::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Fifo => (
-            AnyPolicy::Fifo(Fifo::new(icache_cfg)),
-            AnyPolicy::Fifo(Fifo::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Random => (
-            AnyPolicy::Random(RandomPolicy::new(icache_cfg, seed)),
-            AnyPolicy::Random(RandomPolicy::new(btb_cfg, seed ^ 0xB7B_5EED)),
-            None,
-        ),
-        PolicyKind::Srrip => (
-            AnyPolicy::Srrip(Srrip::new(icache_cfg)),
-            AnyPolicy::Srrip(Srrip::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Drrip => (
-            AnyPolicy::Drrip(Drrip::new(icache_cfg)),
-            AnyPolicy::Drrip(Drrip::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Ship => (
-            AnyPolicy::Ship(ShipPolicy::new(icache_cfg, ShipConfig::default())),
-            AnyPolicy::Ship(ShipPolicy::new(btb_cfg, ShipConfig::default())),
-            None,
-        ),
-        PolicyKind::CounterDbp => (
-            AnyPolicy::CounterDbp(CounterDbpPolicy::new(icache_cfg, 16 * 1024)),
-            AnyPolicy::CounterDbp(CounterDbpPolicy::new(btb_cfg, 16 * 1024)),
-            None,
-        ),
-        PolicyKind::Sdbp => (
-            AnyPolicy::Sdbp(SdbpPolicy::new(icache_cfg, sdbp_cfg)),
-            AnyPolicy::Sdbp(SdbpPolicy::new(btb_cfg, sdbp_cfg)),
-            None,
-        ),
-        PolicyKind::Ghrp => {
-            let shared = SharedGhrp::new(ghrp_cfg, icache_cfg.offset_bits());
-            (
-                AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
-                AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
-                    btb_cfg,
-                    shared.clone(),
-                    icache_cfg.block_bytes(),
-                )),
-                Some(shared),
-            )
-        }
-        PolicyKind::Opt => {
-            let blocks = icache_opt_blocks.expect("OPT requires the I-cache block sequence");
-            let pcs = btb_opt_pcs.expect("OPT requires the BTB access sequence");
-            (
-                AnyPolicy::Opt(BeladyOpt::from_trace(icache_cfg, blocks)),
-                AnyPolicy::Opt(BeladyOpt::from_trace(btb_cfg, pcs)),
-                None,
-            )
-        }
-        PolicyKind::Duel(spec) => {
-            let duel = DuelConfig::continuous();
-            let (ic, bc, shared) =
-                hybrid_candidates(&spec, icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed);
-            (
-                AnyPolicy::Duel(DuelPolicy(DuelSelect::new(icache_cfg, duel, ic))),
-                AnyPolicy::Duel(DuelPolicy(DuelSelect::new(btb_cfg, duel, bc))),
-                shared,
-            )
-        }
-        PolicyKind::Phase(spec) => {
-            let duel = DuelConfig::phase_adaptive(spec.window());
-            let (ic, bc, shared) =
-                hybrid_candidates(&spec, icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed);
-            (
-                AnyPolicy::Phase(PhasePolicy(DuelSelect::new(icache_cfg, duel, ic))),
-                AnyPolicy::Phase(PhasePolicy(DuelSelect::new(btb_cfg, duel, bc))),
-                shared,
-            )
-        }
+    let offline = if kind.is_offline() {
+        let blocks = icache_opt_blocks.expect("OPT requires the I-cache block sequence");
+        let pcs = btb_opt_pcs.expect("OPT requires the BTB access sequence");
+        Some((blocks, pcs))
+    } else {
+        None
     };
-    FrontendPair {
-        icache: Cache::new(icache_cfg, ipol),
-        btb: Btb::new(btb_cfg, bpol),
-        ghrp,
-    }
-}
-
-/// Build the matched I-cache/BTB candidate lists of a hybrid.
-///
-/// Each candidate is constructed exactly as its static `build_pair` arm
-/// would build it (same seeds, same shared-GHRP wiring), which is what
-/// makes the single-candidate hybrid bit-identical to the static policy
-/// (pinned by the engine equivalence proptests). A GHRP candidate's
-/// shared predictor is returned so the simulator can retire history
-/// into it, just like the static GHRP pair.
-fn hybrid_candidates(
-    spec: &HybridSpec,
-    icache_cfg: CacheConfig,
-    btb_cfg: CacheConfig,
-    ghrp_cfg: GhrpConfig,
-    sdbp_cfg: SdbpConfig,
-    seed: u64,
-) -> (Vec<AnyPolicy>, Vec<AnyPolicy>, Option<SharedGhrp>) {
-    let mut ghrp = None;
-    let mut icache = Vec::with_capacity(spec.candidates().len());
-    let mut btb = Vec::with_capacity(spec.candidates().len());
-    for c in spec.candidates() {
-        let (ipol, bpol) = match c {
-            BasePolicy::Lru => (
-                AnyPolicy::Lru(Lru::new(icache_cfg)),
-                AnyPolicy::Lru(Lru::new(btb_cfg)),
-            ),
-            BasePolicy::Fifo => (
-                AnyPolicy::Fifo(Fifo::new(icache_cfg)),
-                AnyPolicy::Fifo(Fifo::new(btb_cfg)),
-            ),
-            BasePolicy::Random => (
-                AnyPolicy::Random(RandomPolicy::new(icache_cfg, seed)),
-                AnyPolicy::Random(RandomPolicy::new(btb_cfg, seed ^ 0xB7B_5EED)),
-            ),
-            BasePolicy::Srrip => (
-                AnyPolicy::Srrip(Srrip::new(icache_cfg)),
-                AnyPolicy::Srrip(Srrip::new(btb_cfg)),
-            ),
-            BasePolicy::Drrip => (
-                AnyPolicy::Drrip(Drrip::new(icache_cfg)),
-                AnyPolicy::Drrip(Drrip::new(btb_cfg)),
-            ),
-            BasePolicy::Ship => (
-                AnyPolicy::Ship(ShipPolicy::new(icache_cfg, ShipConfig::default())),
-                AnyPolicy::Ship(ShipPolicy::new(btb_cfg, ShipConfig::default())),
-            ),
-            BasePolicy::CounterDbp => (
-                AnyPolicy::CounterDbp(CounterDbpPolicy::new(icache_cfg, 16 * 1024)),
-                AnyPolicy::CounterDbp(CounterDbpPolicy::new(btb_cfg, 16 * 1024)),
-            ),
-            BasePolicy::Sdbp => (
-                AnyPolicy::Sdbp(SdbpPolicy::new(icache_cfg, sdbp_cfg)),
-                AnyPolicy::Sdbp(SdbpPolicy::new(btb_cfg, sdbp_cfg)),
-            ),
-            BasePolicy::Ghrp => {
-                let shared = SharedGhrp::new(ghrp_cfg, icache_cfg.offset_bits());
-                let pair = (
-                    AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
-                    AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
-                        btb_cfg,
-                        shared.clone(),
-                        icache_cfg.block_bytes(),
-                    )),
-                );
-                ghrp.get_or_insert(shared);
-                pair
-            }
-        };
-        icache.push(ipol);
-        btb.push(bpol);
-    }
-    (icache, btb, ghrp)
+    SharedTrainers::default()
+        .build_pair(kind, icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed, offline)
 }
 
 #[cfg(test)]

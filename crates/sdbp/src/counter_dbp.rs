@@ -111,7 +111,7 @@ impl ReplacementPolicy for CounterDbpPolicy {
         }
         (0..self.ways)
             .min_by_key(|&w| self.stamps[base + w])
-            .expect("at least one way")
+            .unwrap_or(0) // ways >= 1 by construction; hot path stays panic-free
     }
 
     fn on_evict(&mut self, way: usize, _victim_block: u64, ctx: &AccessContext) {

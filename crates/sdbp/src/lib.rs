@@ -30,8 +30,11 @@ pub mod ship;
 pub use counter_dbp::CounterDbpPolicy;
 pub use ship::{ShipConfig, ShipPolicy};
 
-use fe_cache::{AccessContext, CacheConfig, ReplacementPolicy};
+use fe_cache::policy::next_stamp;
+use fe_cache::{AccessContext, CacheConfig, ReplacementPolicy, INVALID_TAG};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 // Canonical §IV.A design-point constants. The `budget-key:` markers are
 // consumed by `cargo xtask audit`, which re-derives the comparison
@@ -138,12 +141,13 @@ impl SdbpConfig {
 
 /// One sampler entry (§IV.A: 1 valid + 1 prediction + 3 LRU-position bits
 /// + 12-bit partial PC + 16-bit tag).
+///
+/// The LRU position is kept as a stamp in a parallel column.
 #[derive(Debug, Clone, Copy, Default)]
 struct SamplerEntry {
     valid: bool,
     partial_tag: u16,
     signature: u16,
-    lru_stamp: u64,
 }
 
 /// Diagnostic counters for SDBP.
@@ -161,57 +165,56 @@ pub struct SdbpStats {
     pub sampler_misses: u64,
 }
 
-/// The modified-SDBP replacement policy.
-#[derive(Debug, Clone)]
-pub struct SdbpPolicy {
+/// The policy-independent half of SDBP: the sampler and the prediction
+/// tables it trains, plus the current access's signature and votes.
+#[derive(Debug)]
+struct Trainer {
     cfg: SdbpConfig,
     ways: usize,
-    /// Skewed counter tables.
-    tables: Vec<Vec<u8>>,
-    /// Full-size sampler: same geometry as the cache.
-    sampler: Vec<SamplerEntry>,
-    /// Main-cache per-frame prediction bits.
-    predicted_dead: Vec<bool>,
-    /// Main-cache LRU stamps.
-    stamps: Vec<u64>,
-    clock: u64,
     /// Shift turning an address into the "PC" the signature derives from
     /// (block-offset bits for an I-cache).
     pc_shift: u32,
-    /// Signature of the in-flight access.
-    current_sig: u16,
-    stats: SdbpStats,
+    /// Skewed counter tables, flat: table `t` starts at
+    /// `t * cfg.table_entries`.
+    tables: Vec<u8>,
+    /// Full-size sampler: same geometry as the cache.
+    sampler: Vec<SamplerEntry>,
+    sampler_stamps: Vec<u32>,
+    clock: u32,
+    /// Demand accesses stepped so far.
+    steps: u64,
+    /// Block of the latest step (lockstep check).
+    last_block: u64,
+    /// Signature of the latest step and its dead and bypass votes.
+    sig: u16,
+    dead: bool,
+    bypass: bool,
+    sampler_hits: u64,
+    sampler_misses: u64,
 }
 
-impl SdbpPolicy {
-    /// Create an SDBP policy for a cache of geometry `cache_cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid [`SdbpConfig`].
-    pub fn new(cache_cfg: CacheConfig, cfg: SdbpConfig) -> SdbpPolicy {
+impl Trainer {
+    fn new(cache_cfg: CacheConfig, cfg: SdbpConfig) -> Trainer {
         cfg.validate();
-        SdbpPolicy {
+        Trainer {
             cfg,
             ways: cache_cfg.ways() as usize,
-            tables: vec![vec![0u8; cfg.table_entries]; cfg.num_tables],
-            sampler: vec![SamplerEntry::default(); cache_cfg.frames()],
-            predicted_dead: vec![false; cache_cfg.frames()],
-            stamps: vec![0; cache_cfg.frames()],
-            clock: 0,
             pc_shift: cache_cfg.offset_bits(),
-            current_sig: 0,
-            stats: SdbpStats::default(),
+            tables: vec![0u8; cfg.table_entries * cfg.num_tables],
+            sampler: vec![SamplerEntry::default(); cache_cfg.frames()],
+            sampler_stamps: vec![0; cache_cfg.frames()],
+            clock: 0,
+            steps: 0,
+            last_block: INVALID_TAG,
+            sig: 0,
+            dead: false,
+            bypass: false,
+            sampler_hits: 0,
+            sampler_misses: 0,
         }
     }
 
-    /// Diagnostic counters.
-    pub fn stats(&self) -> SdbpStats {
-        self.stats
-    }
-
-    /// The partial-PC signature for an access to `block_addr`.
-    pub fn signature_of(&self, block_addr: u64) -> u16 {
+    fn signature_of(&self, block_addr: u64) -> u16 {
         let pc = block_addr >> self.pc_shift;
         // Truncation-safe: masked to signature_bits ≤ 16 bits.
         #[allow(clippy::cast_possible_truncation)]
@@ -223,8 +226,9 @@ impl SdbpPolicy {
         ((block_addr >> self.pc_shift) & 0xFFFF) as u16
     }
 
-    fn table_index(&self, sig: u16, table: usize) -> usize {
-        // Skewed indices via per-table multiplicative hashing.
+    /// Flat position of `sig`'s counter in `table`: skewed indices via
+    /// per-table multiplicative hashing.
+    fn slot(&self, sig: u16, table: usize) -> usize {
         const MULT: [u32; 8] = [
             0x9E37_79B9,
             0x85EB_CA6B,
@@ -237,21 +241,19 @@ impl SdbpPolicy {
         ];
         let x = u32::from(sig).wrapping_mul(MULT[table]);
         let x = x ^ (x >> 16);
-        (x as usize) & (self.cfg.table_entries - 1)
+        table * self.cfg.table_entries + ((x as usize) & (self.cfg.table_entries - 1))
     }
 
-    /// Sum of the counters selected by `sig` (SDBP aggregates by
-    /// summation).
-    pub fn counter_sum(&self, sig: u16) -> u32 {
+    fn counter_sum(&self, sig: u16) -> u32 {
         (0..self.cfg.num_tables)
-            .map(|t| u32::from(self.tables[t][self.table_index(sig, t)]))
+            .map(|t| u32::from(self.tables[self.slot(sig, t)]))
             .sum()
     }
 
     fn train(&mut self, sig: u16, is_dead: bool) {
         for t in 0..self.cfg.num_tables {
-            let i = self.table_index(sig, t);
-            let c = &mut self.tables[t][i];
+            let i = self.slot(sig, t);
+            let c = &mut self.tables[i];
             if is_dead {
                 *c = c.saturating_add(1).min(self.cfg.counter_max);
             } else {
@@ -260,80 +262,208 @@ impl SdbpPolicy {
         }
     }
 
-    /// Current dead prediction for a signature.
-    pub fn predict_dead(&self, sig: u16) -> bool {
-        self.counter_sum(sig) >= self.cfg.dead_threshold
-    }
-
-    fn predict_bypass(&self, sig: u16) -> bool {
-        self.counter_sum(sig) >= self.cfg.bypass_threshold
+    /// Advance by one demand access: signature, sampler training (on
+    /// sampled sets), then the votes for the signature.
+    fn step(&mut self, ctx: &AccessContext) {
+        self.sig = self.signature_of(ctx.block_addr);
+        if (ctx.set as u64).is_multiple_of(u64::from(self.cfg.sampler_every)) {
+            self.sample(ctx);
+        }
+        self.steps += 1;
+        self.last_block = ctx.block_addr;
+        let sum = self.counter_sum(self.sig);
+        self.dead = sum >= self.cfg.dead_threshold;
+        self.bypass = sum >= self.cfg.bypass_threshold;
     }
 
     /// Run the sampler for this access (the training side of SDBP).
     fn sample(&mut self, ctx: &AccessContext) {
         let tag = self.partial_tag(ctx.block_addr);
         let base = ctx.set * self.ways;
-        self.clock += 1;
+        let stamp = next_stamp(&mut self.clock, &mut self.sampler_stamps, self.ways);
         // Sampler hit: the entry's previous signature proved live.
-        for w in 0..self.ways {
-            let e = self.sampler[base + w];
+        for f in base..base + self.ways {
+            let e = self.sampler[f];
             if e.valid && e.partial_tag == tag {
-                self.stats.sampler_hits += 1;
+                self.sampler_hits += 1;
                 self.train(e.signature, false);
-                let sig = self.current_sig;
-                let clock = self.clock;
-                let e = &mut self.sampler[base + w];
-                e.signature = sig;
-                e.lru_stamp = clock;
+                self.sampler[f].signature = self.sig;
+                self.sampler_stamps[f] = stamp;
                 return;
             }
         }
-        self.stats.sampler_misses += 1;
+        self.sampler_misses += 1;
         // Sampler miss: evict the LRU sampler entry, training its
         // signature dead if it was valid.
-        let victim = (0..self.ways)
-            .min_by_key(|&w| {
-                let e = self.sampler[base + w];
-                (e.valid, e.lru_stamp)
-            })
-            .expect("at least one sampler way");
-        let old = self.sampler[base + victim];
+        let victim = (base..base + self.ways)
+            .min_by_key(|&f| (self.sampler[f].valid, self.sampler_stamps[f]))
+            .unwrap_or(base); // ways >= 1 by construction; hot path stays panic-free
+        let old = self.sampler[victim];
         if old.valid {
             self.train(old.signature, true);
         }
-        self.sampler[base + victim] = SamplerEntry {
+        self.sampler[victim] = SamplerEntry {
             valid: true,
             partial_tag: tag,
-            signature: self.current_sig,
-            lru_stamp: self.clock,
+            signature: self.sig,
         };
+        self.sampler_stamps[victim] = stamp;
+    }
+
+    fn reset(&mut self) {
+        self.tables.fill(0);
+        self.sampler.fill(SamplerEntry::default());
+        self.sampler_stamps.fill(0);
+        self.clock = 0;
+        self.steps = 0;
+        self.last_block = INVALID_TAG;
+        self.sig = 0;
+        self.dead = false;
+        self.bypass = false;
+        self.sampler_hits = 0;
+        self.sampler_misses = 0;
+    }
+}
+
+/// Clonable handle to an SDBP sampler and its tables.
+///
+/// The sampler's training events depend only on the access stream, so
+/// policies on caches of one geometry that see the same demand accesses
+/// may share one trainer ([`SdbpPolicy::with_trainer`]): the first to
+/// reach access *n* steps it, the others read the cached signature and
+/// votes.
+#[derive(Debug, Clone)]
+pub struct SdbpTrainer(Rc<RefCell<Trainer>>);
+
+impl SdbpTrainer {
+    /// A fresh trainer for a cache of geometry `cache_cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid [`SdbpConfig`].
+    pub fn new(cache_cfg: CacheConfig, cfg: SdbpConfig) -> SdbpTrainer {
+        SdbpTrainer(Rc::new(RefCell::new(Trainer::new(cache_cfg, cfg))))
+    }
+}
+
+/// The modified-SDBP replacement policy.
+#[derive(Debug, Clone)]
+pub struct SdbpPolicy {
+    trainer: SdbpTrainer,
+    ways: usize,
+    /// Main-cache per-frame prediction bits.
+    predicted_dead: Vec<bool>,
+    /// Main-cache LRU stamps.
+    stamps: Vec<u32>,
+    clock: u32,
+    /// Demand accesses seen: this policy's position in the trainer's
+    /// step sequence.
+    accesses: u64,
+    /// The in-flight access's dead and bypass votes (the tables change
+    /// only when the trainer steps).
+    current_dead: bool,
+    current_bypass: bool,
+    /// [`SdbpConfig::enable_bypass`], cached out of the trainer.
+    enable_bypass: bool,
+    /// Victim and bypass counters (the sampler counters live in the
+    /// trainer).
+    stats: SdbpStats,
+}
+
+impl SdbpPolicy {
+    /// Create an SDBP policy for a cache of geometry `cache_cfg`, with its
+    /// own trainer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid [`SdbpConfig`].
+    pub fn new(cache_cfg: CacheConfig, cfg: SdbpConfig) -> SdbpPolicy {
+        SdbpPolicy::with_trainer(cache_cfg, SdbpTrainer::new(cache_cfg, cfg))
+    }
+
+    /// Create an SDBP policy for a cache of geometry `cache_cfg` that
+    /// shares `trainer` (built for the same geometry) with every other
+    /// policy holding it. All of them must see the same demand accesses.
+    pub fn with_trainer(cache_cfg: CacheConfig, trainer: SdbpTrainer) -> SdbpPolicy {
+        let enable_bypass = {
+            let t = trainer.0.borrow();
+            debug_assert_eq!(t.sampler.len(), cache_cfg.frames());
+            t.cfg.enable_bypass
+        };
+        SdbpPolicy {
+            trainer,
+            ways: cache_cfg.ways() as usize,
+            predicted_dead: vec![false; cache_cfg.frames()],
+            stamps: vec![0; cache_cfg.frames()],
+            clock: 0,
+            accesses: 0,
+            current_dead: false,
+            current_bypass: false,
+            enable_bypass,
+            stats: SdbpStats::default(),
+        }
+    }
+
+    /// Diagnostic counters.
+    pub fn stats(&self) -> SdbpStats {
+        let t = self.trainer.0.borrow();
+        SdbpStats {
+            sampler_hits: t.sampler_hits,
+            sampler_misses: t.sampler_misses,
+            ..self.stats
+        }
+    }
+
+    /// The partial-PC signature for an access to `block_addr`.
+    pub fn signature_of(&self, block_addr: u64) -> u16 {
+        self.trainer.0.borrow().signature_of(block_addr)
+    }
+
+    /// Sum of the counters selected by `sig` (SDBP aggregates by
+    /// summation).
+    pub fn counter_sum(&self, sig: u16) -> u32 {
+        self.trainer.0.borrow().counter_sum(sig)
+    }
+
+    /// Current dead prediction for a signature.
+    pub fn predict_dead(&self, sig: u16) -> bool {
+        let t = self.trainer.0.borrow();
+        t.counter_sum(sig) >= t.cfg.dead_threshold
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
+        let stamp = next_stamp(&mut self.clock, &mut self.stamps, self.ways);
+        self.stamps[set * self.ways + way] = stamp;
     }
 }
 
 impl ReplacementPolicy for SdbpPolicy {
     fn on_access(&mut self, ctx: &AccessContext) {
-        self.current_sig = self.signature_of(ctx.block_addr);
-        if (ctx.set as u64).is_multiple_of(u64::from(self.cfg.sampler_every)) {
-            self.sample(ctx);
+        self.accesses += 1;
+        let mut t = self.trainer.0.borrow_mut();
+        if t.steps < self.accesses {
+            debug_assert_eq!(t.steps + 1, self.accesses, "an SDBP lane skipped a step");
+            t.step(ctx);
+        } else {
+            debug_assert!(
+                t.steps == self.accesses && t.last_block == ctx.block_addr,
+                "SDBP lanes out of lockstep: trainer at access {}, lane at {}",
+                t.steps,
+                self.accesses
+            );
         }
+        self.current_dead = t.dead;
+        self.current_bypass = t.bypass;
     }
 
     fn on_hit(&mut self, way: usize, ctx: &AccessContext) {
         // Refresh this frame's prediction under the current access.
-        self.predicted_dead[ctx.set * self.ways + way] = self.predict_dead(self.current_sig);
+        self.predicted_dead[ctx.set * self.ways + way] = self.current_dead;
         self.touch(ctx.set, way);
     }
 
     fn should_bypass(&mut self, _ctx: &AccessContext) -> bool {
-        if !self.cfg.enable_bypass {
-            return false;
-        }
-        let b = self.predict_bypass(self.current_sig);
+        let b = self.enable_bypass && self.current_bypass;
         if b {
             self.stats.bypasses += 1;
         }
@@ -349,7 +479,7 @@ impl ReplacementPolicy for SdbpPolicy {
         self.stats.lru_victims += 1;
         (0..self.ways)
             .min_by_key(|&w| self.stamps[base + w])
-            .expect("at least one way")
+            .unwrap_or(0) // ways >= 1 by construction; hot path stays panic-free
     }
 
     fn on_evict(&mut self, way: usize, _victim_block: u64, ctx: &AccessContext) {
@@ -357,19 +487,20 @@ impl ReplacementPolicy for SdbpPolicy {
     }
 
     fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
-        self.predicted_dead[ctx.set * self.ways + way] = self.predict_dead(self.current_sig);
+        self.predicted_dead[ctx.set * self.ways + way] = self.current_dead;
         self.touch(ctx.set, way);
     }
 
     fn reset(&mut self) {
-        for t in &mut self.tables {
-            t.fill(0);
-        }
-        self.sampler.fill(SamplerEntry::default());
+        // Idempotent on a shared trainer: every sharer resets it before
+        // the next access.
+        self.trainer.0.borrow_mut().reset();
         self.predicted_dead.fill(false);
         self.stamps.fill(0);
         self.clock = 0;
-        self.current_sig = 0;
+        self.accesses = 0;
+        self.current_dead = false;
+        self.current_bypass = false;
         self.stats = SdbpStats::default();
     }
 
@@ -518,5 +649,58 @@ mod tests {
             + PAPER_SDBP_SAMPLER_SIGNATURE_BITS
             + PAPER_SDBP_SAMPLER_TAG_BITS;
         assert_eq!(bits, 33);
+    }
+
+    #[test]
+    fn shared_trainer_matches_private_trainers() {
+        let cache_cfg = CacheConfig::with_sets(4, 2, 64).unwrap();
+        let cfg = SdbpConfig::default();
+        let trainer = SdbpTrainer::new(cache_cfg, cfg);
+        // Two caches stepping one trainer vs two with their own.
+        let mut shared = [0, 1].map(|_| {
+            Cache::new(
+                cache_cfg,
+                SdbpPolicy::with_trainer(cache_cfg, trainer.clone()),
+            )
+        });
+        let mut private = [0, 1].map(|_| Cache::new(cache_cfg, SdbpPolicy::new(cache_cfg, cfg)));
+        assert!(Rc::ptr_eq(
+            &shared[0].policy().trainer.0,
+            &shared[1].policy().trainer.0
+        ));
+        for i in 0..3_000u64 {
+            let b = ((i * 7) % 11) * 0x100;
+            for (s, p) in shared.iter_mut().zip(&mut private) {
+                assert_eq!(s.access(b, 0), p.access(b, 0), "access {i}");
+            }
+        }
+        for (s, p) in shared.iter().zip(&private) {
+            assert_eq!(s.policy().stats(), p.policy().stats());
+        }
+    }
+
+    /// Forcing both recency clocks to the `u32` wrap point again and
+    /// again must not change a single decision against a run whose
+    /// clocks never come near it (where `u32` stamps behave as the
+    /// unbounded `u64` reference).
+    #[test]
+    fn wrapping_u32_stamps_choose_the_same_victims() {
+        let mut reference = mk(true);
+        let mut wrapped = mk(true);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..20_000u32 {
+            if i % 509 == 0 {
+                let p = wrapped.policy_mut();
+                p.clock = u32::MAX - 2;
+                p.trainer.0.borrow_mut().clock = u32::MAX - 1;
+            }
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let b = (x % 20) * 0x40;
+            assert_eq!(wrapped.access(b, 0), reference.access(b, 0), "access {i}");
+        }
+        assert_eq!(wrapped.policy().stats(), reference.policy().stats());
+        assert!(reference.policy().stats().dead_victims > 0);
     }
 }

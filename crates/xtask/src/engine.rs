@@ -162,6 +162,9 @@ pub fn is_hot_path(rel: &Path) -> bool {
         || s.ends_with("/trace/src/signature.rs")
         || s.ends_with("/trace/src/sample.rs")
         || s.ends_with("/frontend/src/sampled.rs")
+        || s.ends_with("/frontend/src/engine.rs")
+        || s.ends_with("/btb/src/lib.rs")
+        || s.contains("/sdbp/src/")
 }
 
 /// Whether the file hosts the canonical mask/idx helpers (exempt from
@@ -210,6 +213,15 @@ mod tests {
         assert!(is_hot_path(Path::new("crates/trace/src/signature.rs")));
         assert!(is_hot_path(Path::new("crates/trace/src/sample.rs")));
         assert!(is_hot_path(Path::new("crates/frontend/src/sampled.rs")));
+        // The lane loop and the per-lane BTB and SDBP policies run once
+        // per fetch group or taken branch per lane.
+        assert!(is_hot_path(Path::new("crates/frontend/src/engine.rs")));
+        assert!(is_hot_path(Path::new("crates/btb/src/lib.rs")));
+        assert!(is_hot_path(Path::new("crates/sdbp/src/lib.rs")));
+        assert!(is_hot_path(Path::new("crates/sdbp/src/counter_dbp.rs")));
+        assert!(is_hot_path(Path::new("crates/sdbp/src/ship.rs")));
+        assert!(!is_hot_path(Path::new("crates/frontend/src/policy.rs")));
+        assert!(!is_hot_path(Path::new("crates/frontend/src/simulator.rs")));
         assert!(!is_hot_path(Path::new("crates/trace/src/io.rs")));
         assert!(!is_hot_path(Path::new("crates/frontend/src/sweep.rs")));
         assert!(!is_hot_path(Path::new("crates/bench/src/lib.rs")));

@@ -188,6 +188,72 @@ fn seeded_reset_field_deletion_is_caught() {
     );
 }
 
+/// The predictor trainers shared between engine lanes are reset in
+/// place on every arena reuse, so `reset-complete` must cover them too:
+/// deleting one restore from the real GHRP and SDBP trainers' `reset()`
+/// must be reported against the trainer type, naming the field.
+#[test]
+fn seeded_trainer_reset_field_deletions_are_caught() {
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    for (rel, owner, restore, field) in [
+        (
+            "crates/core/src/shared.rs",
+            "GhrpTrainer",
+            "self.steps = 0;",
+            "steps",
+        ),
+        (
+            "crates/core/src/shared.rs",
+            "ShadowArray",
+            "self.clock = 0;",
+            "clock",
+        ),
+        (
+            "crates/sdbp/src/lib.rs",
+            "Trainer",
+            "self.sampler_hits = 0;",
+            "sampler_hits",
+        ),
+    ] {
+        let clean = std::fs::read_to_string(workspace.join(rel)).expect("trainer source present");
+        assert_eq!(
+            clean.matches(restore).count(),
+            1,
+            "{rel}: the seeded restore `{restore}` must occur exactly once"
+        );
+        let control = TempRoot::new("trainer-control");
+        control.write(rel, &clean);
+        let control_hits: Vec<String> = xtask::run_lint(&control.0)
+            .findings
+            .iter()
+            .filter(|f| f.rule == "reset-complete")
+            .map(|f| f.message.clone())
+            .collect();
+        assert!(control_hits.is_empty(), "{rel}: {control_hits:?}");
+
+        let tmp = TempRoot::new("trainer-mutant");
+        tmp.write(rel, &clean.replace(restore, ""));
+        let report = xtask::run_lint(&tmp.0);
+        assert!(
+            report.findings.iter().any(|f| {
+                f.rule == "reset-complete"
+                    && f.file == Path::new(rel)
+                    && f.message.contains(&format!("`{owner}`"))
+                    && f.message.contains(&format!("`{field}`"))
+            }),
+            "{rel}: deleted `{restore}` escaped reset-complete: {:?}",
+            report
+                .findings
+                .iter()
+                .map(|f| &f.message)
+                .collect::<Vec<_>>()
+        );
+    }
+}
+
 /// Acceptance mutation 2: inject a `SystemTime::now()` into the clean
 /// render fixture and the lint must flag that render as impure.
 #[test]

@@ -53,13 +53,16 @@ proptest! {
             ..GhrpConfig::default()
         };
         let shared = SharedGhrp::new(gcfg, 6);
+        // The metadata column is laid out for a 64-set I-cache of 64-byte
+        // blocks, so each of the (< 64) blocks below gets its own set.
+        shared.attach_icache(ghrp_repro::cache::CacheConfig::with_sets(64, 4, 64).unwrap());
         // Install arbitrary block metadata / training, as the I-cache side
         // would.
         for (i, &sig) in sigs.iter().enumerate() {
-            shared.set_meta(
-                (i as u64) * 64,
-                ghrp_repro::ghrp::BlockMeta { signature: sig, predicted_dead: i % 2 == 0 },
-            );
+            let block = (i as u64) * 64;
+            let meta = ghrp_repro::ghrp::BlockMeta { signature: sig, predicted_dead: i % 2 == 0 };
+            prop_assert!(shared.set_meta(block, meta));
+            prop_assert_eq!(shared.meta(block), Some(meta));
             shared.train(sig, i % 3 == 0);
         }
         let mut btb = Btb::new(cfg, ValidatingPolicy::new(GhrpBtbPolicy::new(cfg, shared, 64)));

@@ -10,12 +10,15 @@
 
 #![forbid(unsafe_code)]
 
-use ghrp_repro::frontend::engine::{run_lanes, SliceReplay};
+use ghrp_repro::cache::CacheConfig;
+use ghrp_repro::frontend::engine::{
+    run_lanes, run_lanes_sampled, EngineArena, SampledSegment, SliceReplay,
+};
 use ghrp_repro::frontend::experiment::{run_suite, run_suite_from, run_trace, run_trace_legacy};
 use ghrp_repro::frontend::policy::BasePolicy;
 use ghrp_repro::frontend::simulator::WrongPathConfig;
 use ghrp_repro::frontend::sweep::{run_sweep, run_sweep_from};
-use ghrp_repro::frontend::{PolicyKind, SimConfig, Simulator, SuiteSource};
+use ghrp_repro::frontend::{PolicyKind, RunResult, SimConfig, Simulator, SuiteSource};
 use ghrp_repro::trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
 use ghrp_repro::trace::synth::{suite, WorkloadCategory, WorkloadSpec};
 use proptest::prelude::*;
@@ -43,12 +46,25 @@ fn arb_category() -> impl Strategy<Value = WorkloadCategory> {
     })
 }
 
-/// A non-empty subset of the online policies, in declaration order: bit
-/// `i` of the mask selects `ONLINE[i]`.
+/// Multi-candidate hybrids next to the statics: with static `ghrp` and
+/// `sdbp` they put several GHRP- and SDBP-bearing lanes in one pass, the
+/// lanes that share one predictor trainer per geometry.
+fn hybrids() -> [PolicyKind; 3] {
+    [
+        PolicyKind::duel(&[BasePolicy::Ghrp, BasePolicy::Srrip, BasePolicy::Sdbp]),
+        PolicyKind::phase(&[BasePolicy::Ghrp, BasePolicy::Srrip], 64),
+        PolicyKind::duel(&[BasePolicy::Sdbp, BasePolicy::Lru]),
+    ]
+}
+
+/// A non-empty subset of the online policies and [`hybrids`], in
+/// declaration order: bit `i` of the mask selects entry `i` of the
+/// seven statics followed by the three hybrids.
 fn arb_policies() -> impl Strategy<Value = Vec<PolicyKind>> {
-    (1u8..128).prop_map(|mask| {
+    (1u16..1024).prop_map(|mask| {
         ONLINE
             .iter()
+            .chain(&hybrids())
             .enumerate()
             .filter(|&(i, _)| mask >> i & 1 == 1)
             .map(|(_, &p)| p)
@@ -81,13 +97,23 @@ fn arb_base() -> impl Strategy<Value = BasePolicy> {
     })
 }
 
+/// A 4 KB, 4-way I-cache: at these trace lengths the paper's 64 KB
+/// I-cache barely misses, so replacement decisions (and any lane
+/// reading another lane's predictor state) rarely show.
+fn small_icache() -> CacheConfig {
+    CacheConfig::with_capacity(4 * 1024, 4, 64).expect("valid geometry")
+}
+
 fn arb_config() -> impl Strategy<Value = SimConfig> {
-    (any::<bool>(), 0u32..=2).prop_map(|(wrong_path, prefetch)| {
+    (any::<bool>(), 0u32..=2, any::<bool>()).prop_map(|(wrong_path, prefetch, small)| {
         let mut cfg = SimConfig::paper_default();
         if wrong_path {
             cfg.wrong_path = Some(WrongPathConfig::default());
         }
         cfg.prefetch_degree = prefetch;
+        if small {
+            cfg.icache = small_icache();
+        }
         cfg
     })
 }
@@ -288,6 +314,141 @@ fn single_candidate_hybrids_match_statics_across_threads_and_sources() {
                 "single-candidate hybrids diverged from statics at \
                  {threads} threads ({label} replay)"
             );
+        }
+    }
+}
+
+/// The benchmark campaign's exact nine lanes — the seven statics plus
+/// `duel(ghrp,srrip,sdbp)` and `phase(ghrp,srrip)`, so three lanes share
+/// one GHRP trainer and two share each SDBP trainer — with wrong-path
+/// injection and next-line prefetching on, at the paper geometry and
+/// under the pressure of a small I-cache. The suite at one and two
+/// threads and a one-segment sampled replay must all reproduce the
+/// per-policy `Simulator`; a multi-segment sampled replay of all nine
+/// lanes must reproduce each lane replayed alone.
+#[test]
+fn campaign_lanes_match_standalone_with_wrong_path_and_prefetch() {
+    for icache in [SimConfig::paper_default().icache, small_icache()] {
+        check_campaign_lanes(icache);
+    }
+}
+
+fn check_campaign_lanes(icache: CacheConfig) {
+    let policies: Vec<PolicyKind> = [
+        "lru",
+        "fifo",
+        "random",
+        "srrip",
+        "drrip",
+        "sdbp",
+        "ghrp",
+        "duel(ghrp,srrip,sdbp)",
+        "phase(ghrp,srrip;window=8192)",
+    ]
+    .iter()
+    .map(|s| PolicyKind::parse(s).expect("campaign lane spelling"))
+    .collect();
+    let mut cfg = SimConfig::paper_default().with_icache(icache);
+    cfg.wrong_path = Some(WrongPathConfig::default());
+    cfg.prefetch_degree = 2;
+    let specs: Vec<WorkloadSpec> = suite(2, 12)
+        .into_iter()
+        .map(|s| s.instructions(60_000))
+        .collect();
+    let traces: Vec<_> = specs.iter().map(WorkloadSpec::generate).collect();
+    let mut builder = CorpusBuilder::new();
+    for trace in &traces {
+        builder.push_synthetic(trace).expect("encode");
+    }
+    let corpus = Corpus::from_bytes(builder.finish()).expect("verified corpus");
+    let shared = SuiteCorpus::from_corpus(&corpus);
+
+    let oracle: Vec<Vec<_>> = traces
+        .iter()
+        .map(|t| {
+            policies
+                .iter()
+                .map(|&p| Simulator::new(cfg.with_policy(p)).run(&t.records, t.instructions))
+                .collect()
+        })
+        .collect();
+
+    for threads in [1, 2] {
+        let suite = run_suite_from(
+            &specs,
+            &cfg,
+            &policies,
+            threads,
+            SuiteSource::Corpus(&shared),
+        );
+        for (row, expected) in suite.rows.iter().zip(&oracle) {
+            for (p, r) in expected.iter().enumerate() {
+                assert_eq!(row.instructions, r.instructions);
+                assert_eq!(
+                    row.icache_mpki[p].to_bits(),
+                    r.icache_mpki().to_bits(),
+                    "{} I-cache MPKI at {threads} threads ({icache})",
+                    policies[p]
+                );
+                assert_eq!(
+                    row.btb_mpki[p].to_bits(),
+                    r.btb_mpki().to_bits(),
+                    "{} BTB MPKI at {threads} threads ({icache})",
+                    policies[p]
+                );
+            }
+        }
+    }
+
+    assert_sampled_lanes_match(&cfg, &policies, &corpus, &oracle);
+}
+
+/// The sampled half of [`check_campaign_lanes`].
+fn assert_sampled_lanes_match(
+    cfg: &SimConfig,
+    policies: &[PolicyKind],
+    corpus: &Corpus,
+    oracle: &[Vec<RunResult>],
+) {
+    let geoms = [cfg.icache];
+    let mut arena = EngineArena::new();
+    for (t, expected) in oracle.iter().enumerate() {
+        let trace = corpus.get(t).expect("trace");
+        let whole = [SampledSegment {
+            rec_lo: 0,
+            rec_hi: trace.records(),
+            warmup_instructions: (trace.instructions() / 2).min(cfg.warmup_cap),
+            weight: 1.0,
+        }];
+        let sampled = run_lanes_sampled(cfg, &geoms, policies, true, &trace, &whole, &mut arena);
+        assert_eq!(&sampled[0][0], expected, "one-segment sampled replay");
+
+        // Three segments with skipped gaps: state carries across them.
+        let n = trace.records();
+        let segments: Vec<SampledSegment> = [(0, n / 4), (n / 3, n / 2), (2 * n / 3, n)]
+            .iter()
+            .map(|&(rec_lo, rec_hi)| SampledSegment {
+                rec_lo,
+                rec_hi,
+                warmup_instructions: 2_000,
+                weight: 1.0 / 3.0,
+            })
+            .collect();
+        let together =
+            run_lanes_sampled(cfg, &geoms, policies, true, &trace, &segments, &mut arena);
+        for (p, &policy) in policies.iter().enumerate() {
+            let alone = run_lanes_sampled(
+                cfg,
+                &geoms,
+                &[policy],
+                true,
+                &trace,
+                &segments,
+                &mut EngineArena::new(),
+            );
+            for (s, seg) in alone.iter().enumerate() {
+                assert_eq!(together[s][0][p], seg[0][0], "{policy} segment {s}");
+            }
         }
     }
 }
