@@ -31,8 +31,12 @@ impl ReturnAddressStack {
     /// Push a return address (on a call). Overflow silently overwrites the
     /// oldest entry, as in hardware.
     pub fn push(&mut self, ret_addr: u64) {
-        // lint:allow(pow2-mask): ring-buffer wrap; any RAS capacity is legal
-        self.top = (self.top + 1) % self.capacity;
+        // Ring-buffer wrap without a division; any capacity is legal.
+        self.top = if self.top + 1 == self.capacity {
+            0
+        } else {
+            self.top + 1
+        };
         self.entries[self.top] = ret_addr;
         self.depth = (self.depth + 1).min(self.capacity);
     }
@@ -44,8 +48,11 @@ impl ReturnAddressStack {
             return None;
         }
         let v = self.entries[self.top];
-        // lint:allow(pow2-mask): ring-buffer wrap; any RAS capacity is legal
-        self.top = (self.top + self.capacity - 1) % self.capacity;
+        self.top = if self.top == 0 {
+            self.capacity - 1
+        } else {
+            self.top - 1
+        };
         self.depth -= 1;
         Some(v)
     }

@@ -526,7 +526,10 @@ fn replay(
     }
     let mut instructions = 0u64;
     let mut measured = 0u64;
-    for chunk in FetchStream::new(records, block_bytes) {
+    // Internal iteration drives the record source's own `fold` (the
+    // corpus cursor's column walk); the reference `Simulator` iterates
+    // with `next()`, so the equivalence suites compare the two paths.
+    FetchStream::new(records, block_bytes).for_each(|chunk| {
         instructions += u64::from(chunk.n_instr);
         if warmed {
             measured += u64::from(chunk.n_instr);
@@ -585,7 +588,7 @@ fn replay(
                 lane.reset_stats();
             }
         }
-    }
+    });
     // Every lane consumed the identical event stream.
     debug_assert!(
         lanes.windows(2).all(|w| w[0].groups == w[1].groups),

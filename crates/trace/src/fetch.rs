@@ -65,19 +65,93 @@ impl FetchChunk {
 /// assert_eq!(chunks[1].block_addr, 0x400);
 /// assert_eq!(chunks[1].n_instr, 3); // 0x400, 0x404, 0x408
 /// ```
+///
+/// Internal iteration (`fold`, `for_each`) drives the record source's own
+/// `fold` and emits every chunk of a record in one inner loop; for a
+/// [`crate::corpus::CorpusCursor`] that is its chunk-free column walk. It
+/// yields exactly what repeated `next()` calls yield.
 #[derive(Debug)]
 pub struct FetchStream<I> {
     records: I,
-    block_bytes: u64,
-    /// Next instruction address to fetch; `None` before the first record.
-    pc: Option<u64>,
     /// Branch we are currently walking toward.
     pending: Option<BranchRecord>,
     total_instructions: u64,
+    walk: Walk,
+}
+
+/// The block walk's state between chunks, apart from the record source.
+#[derive(Debug)]
+struct Walk {
+    block_bytes: u64,
+    /// Next instruction address to fetch; `None` before the first record.
+    pc: Option<u64>,
     /// Block of the previously yielded chunk, and whether it ended with a
     /// taken branch (fetch-group boundary tracking).
     prev_block: Option<u64>,
     prev_ended_taken: bool,
+}
+
+impl Walk {
+    /// Where fetch toward `rec` starts: the next sequential address, or
+    /// `rec`'s own PC for the first record of the trace or a
+    /// discontinuity (the recorded branch PC is behind the sequential PC —
+    /// e.g. a trap or trace gap).
+    #[inline]
+    fn begin(&self, rec: &BranchRecord) -> u64 {
+        match self.pc {
+            Some(pc) if pc <= rec.pc => pc,
+            _ => rec.pc,
+        }
+    }
+
+    /// The chunk starting at `pc` on the way to `rec`: it ends at `rec`
+    /// (and carries it) when `rec` lies in `pc`'s block, and at the block's
+    /// end otherwise. Advances the walk past it.
+    #[inline]
+    fn chunk(&mut self, pc: u64, rec: &BranchRecord) -> FetchChunk {
+        debug_assert!(pc <= rec.pc);
+        let block = pc & !(self.block_bytes - 1);
+        let block_end = block + self.block_bytes; // exclusive
+        let starts_group = self.prev_block != Some(block) || self.prev_ended_taken;
+        let reaches_branch = rec.pc < block_end;
+        let (n, next_pc) = if reaches_branch {
+            ((rec.pc - pc) / INSTRUCTION_BYTES + 1, rec.successor())
+        } else {
+            // Sequential run to the end of the block.
+            ((block_end - pc) / INSTRUCTION_BYTES, block_end)
+        };
+        // Truncation-safe: n ≤ block_bytes / INSTRUCTION_BYTES, far below
+        // u32::MAX.
+        #[allow(clippy::cast_possible_truncation)]
+        let n_instr = n as u32;
+        self.pc = Some(next_pc);
+        self.prev_block = Some(block);
+        self.prev_ended_taken = !reaches_branch || rec.taken;
+        FetchChunk {
+            block_addr: block,
+            first_pc: pc,
+            n_instr,
+            branch: reaches_branch.then_some(*rec),
+            starts_group,
+        }
+    }
+
+    /// Feed `f` every chunk from `pc` up to and including the one that
+    /// ends at `rec`.
+    #[inline]
+    fn run<B, F>(&mut self, mut pc: u64, rec: &BranchRecord, mut acc: B, f: &mut F) -> B
+    where
+        F: FnMut(B, FetchChunk) -> B,
+    {
+        loop {
+            let chunk = self.chunk(pc, rec);
+            acc = f(acc, chunk);
+            if chunk.branch.is_some() {
+                return acc;
+            }
+            pc = chunk.block_addr + self.block_bytes;
+        }
+    }
 }
 
 impl<I: Iterator<Item = BranchRecord>> FetchStream<I> {
@@ -94,22 +168,20 @@ impl<I: Iterator<Item = BranchRecord>> FetchStream<I> {
         );
         FetchStream {
             records,
-            block_bytes,
-            pc: None,
             pending: None,
             total_instructions: 0,
-            prev_block: None,
-            prev_ended_taken: true,
+            walk: Walk {
+                block_bytes,
+                pc: None,
+                prev_block: None,
+                prev_ended_taken: true,
+            },
         }
     }
 
     /// Instructions emitted so far (sum of `n_instr` over yielded chunks).
     pub fn instructions(&self) -> u64 {
         self.total_instructions
-    }
-
-    fn block_of(&self, addr: u64) -> u64 {
-        addr & !(self.block_bytes - 1)
     }
 }
 
@@ -119,9 +191,9 @@ impl<'a> FetchStream<crate::corpus::CorpusCursor<'a>> {
     ///
     /// The returned stream is fully monomorphized over
     /// [`crate::corpus::CorpusCursor`] — records decode from the shared
-    /// column buffer in cache-friendly 256-record chunks and feed block
-    /// reconstruction with no boxing, no virtual dispatch, and no
-    /// per-record allocation anywhere in the chain.
+    /// column buffer with no boxing, no virtual dispatch, and no
+    /// per-record allocation anywhere in the chain; internal iteration
+    /// walks the columns directly.
     ///
     /// # Panics
     ///
@@ -136,69 +208,52 @@ impl<I: Iterator<Item = BranchRecord>> Iterator for FetchStream<I> {
     type Item = FetchChunk;
 
     fn next(&mut self) -> Option<FetchChunk> {
-        // Acquire the next branch to walk toward, if we don't have one.
-        if self.pending.is_none() {
-            let rec = self.records.next()?;
-            // First record of the trace, or a discontinuity (the recorded
-            // branch PC is behind the current sequential PC — e.g. a trap or
-            // trace gap): restart sequential fetch at the branch's block.
-            let pc = match self.pc {
-                Some(pc) if pc <= rec.pc => pc,
-                _ => rec.pc,
-            };
-            self.pc = Some(pc);
-            self.pending = Some(rec);
-        }
-        let rec = self.pending.expect("pending branch set above");
-        let pc = self.pc.expect("pc set alongside pending");
-        debug_assert!(pc <= rec.pc);
-
-        let block = self.block_of(pc);
-        let block_end = block + self.block_bytes; // exclusive
-        let starts_group = self.prev_block != Some(block) || self.prev_ended_taken;
-        let chunk = if rec.pc < block_end {
-            // The branch lies in this block: chunk ends at the branch.
-            let n = (rec.pc - pc) / INSTRUCTION_BYTES + 1;
-            // Truncation-safe: n ≤ block_bytes / INSTRUCTION_BYTES, far
-            // below u32::MAX.
-            #[allow(clippy::cast_possible_truncation)]
-            let n_instr = n as u32;
-            self.pending = None;
-            self.pc = Some(rec.successor());
-            FetchChunk {
-                block_addr: block,
-                first_pc: pc,
-                n_instr,
-                branch: Some(rec),
-                starts_group,
-            }
+        // Resume the branch being walked toward, or acquire the next one.
+        let (rec, pc) = if let (Some(rec), Some(pc)) = (self.pending, self.walk.pc) {
+            (rec, pc)
         } else {
-            // Sequential run to the end of the block; keep walking.
-            let n = (block_end - pc) / INSTRUCTION_BYTES;
-            // Truncation-safe: n ≤ block_bytes / INSTRUCTION_BYTES, far
-            // below u32::MAX.
-            #[allow(clippy::cast_possible_truncation)]
-            let n_instr = n as u32;
-            self.pc = Some(block_end);
-            FetchChunk {
-                block_addr: block,
-                first_pc: pc,
-                n_instr,
-                branch: None,
-                starts_group,
-            }
+            let rec = self.records.next()?;
+            self.pending = Some(rec);
+            (rec, self.walk.begin(&rec))
         };
-        self.prev_block = Some(block);
-        self.prev_ended_taken = chunk.branch.is_none_or(|b| b.taken);
+        let chunk = self.walk.chunk(pc, &rec);
+        if chunk.branch.is_some() {
+            self.pending = None;
+        }
         self.total_instructions += u64::from(chunk.n_instr);
         Some(chunk)
+    }
+
+    /// Internal iteration: finish the branch a partly consumed stream is
+    /// walking toward, then fold the record source, emitting each
+    /// record's chunks in one inner loop.
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, FetchChunk) -> B,
+    {
+        let FetchStream {
+            records,
+            pending,
+            mut walk,
+            ..
+        } = self;
+        let mut acc = init;
+        if let (Some(rec), Some(pc)) = (pending, walk.pc) {
+            acc = walk.run(pc, &rec, acc, &mut f);
+        }
+        records.fold(acc, |acc, rec| {
+            let pc = walk.begin(&rec);
+            walk.run(pc, &rec, acc, &mut f)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::{Corpus, CorpusBuilder};
     use crate::record::BranchKind;
+    use proptest::prelude::*;
 
     fn cond(pc: u64, taken: bool, target: u64) -> BranchRecord {
         BranchRecord::new(pc, BranchKind::CondDirect, taken, target)
@@ -340,5 +395,84 @@ mod tests {
         // 0x0 (branch), 0x10, 0x14 (branch) — one chunk per instruction.
         assert_eq!(chunks.len(), 3);
         assert!(chunks.iter().all(|c| c.n_instr == 1));
+    }
+
+    /// Every chunk, through `next()` only.
+    fn by_next<I: Iterator<Item = BranchRecord>>(mut s: FetchStream<I>) -> Vec<FetchChunk> {
+        std::iter::from_fn(|| s.next()).collect()
+    }
+
+    /// Check `fold` and `for_each` against `want` (the `next()` output
+    /// of the whole stream), each after `skip` chunks taken by `next()`.
+    fn check_internal_iteration<I: Iterator<Item = BranchRecord>>(
+        make: impl Fn() -> FetchStream<I>,
+        want: &[FetchChunk],
+        skip: usize,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(by_next(make()), want.to_vec());
+        let mut folded = make();
+        let head: Vec<_> = (0..skip).map_while(|_| folded.next()).collect();
+        prop_assert_eq!(head.as_slice(), &want[..head.len()]);
+        let rest = folded.fold(head, |mut v, c| {
+            v.push(c);
+            v
+        });
+        prop_assert_eq!(rest, want.to_vec());
+        let mut visited = make();
+        let mut all: Vec<_> = (0..skip).map_while(|_| visited.next()).collect();
+        visited.for_each(|c| all.push(c));
+        prop_assert_eq!(all, want.to_vec());
+        Ok(())
+    }
+
+    /// Records over a few kilobytes of code, so sequential runs, loops
+    /// and discontinuities (a PC behind the fall-through) all occur; PCs
+    /// are mostly instruction-aligned.
+    fn arb_records() -> impl Strategy<Value = Vec<BranchRecord>> {
+        prop::collection::vec(
+            (0u64..0x2000, 0u64..0x2000, 0u8..6, any::<bool>(), 0u8..8).prop_map(
+                |(pc, target, kind, taken, skew)| {
+                    let align = if skew == 0 { 1 } else { INSTRUCTION_BYTES };
+                    let kind = BranchKind::from_u8(kind).unwrap_or(BranchKind::CondDirect);
+                    BranchRecord::new(pc / align * align, kind, taken, target / align * align)
+                },
+            ),
+            1..300,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn fold_and_for_each_match_next(
+            recs in arb_records(),
+            log_block in 2u32..=8,
+            skip in 0usize..40,
+            range in (0usize..300, 0usize..300),
+        ) {
+            let block_bytes = 1u64 << log_block;
+            let want = by_next(FetchStream::new(recs.iter().copied(), block_bytes));
+            check_internal_iteration(
+                || FetchStream::new(recs.iter().copied(), block_bytes),
+                &want,
+                skip,
+            )?;
+            let mut b = CorpusBuilder::new();
+            b.push_trace("fetch", 0, &recs).unwrap();
+            let corpus = Corpus::from_bytes(b.finish()).unwrap();
+            let trace = corpus.get(0).unwrap();
+            check_internal_iteration(
+                || FetchStream::from_corpus(&trace, block_bytes),
+                &want,
+                skip,
+            )?;
+            let lo = range.0.min(recs.len());
+            let hi = range.1.clamp(lo, recs.len());
+            let want = by_next(FetchStream::new(recs[lo..hi].iter().copied(), block_bytes));
+            check_internal_iteration(
+                || FetchStream::new(trace.cursor_range(lo as u64, hi as u64), block_bytes),
+                &want,
+                skip,
+            )?;
+        }
     }
 }

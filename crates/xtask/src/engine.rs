@@ -159,6 +159,8 @@ pub fn is_hot_path(rel: &Path) -> bool {
         || s.contains("/core/src/")
         || s.ends_with("/frontend/src/schedule.rs")
         || s.contains("/trace/src/corpus")
+        || s.ends_with("/trace/src/fetch.rs")
+        || s.contains("/branch/src/")
         || s.ends_with("/trace/src/signature.rs")
         || s.ends_with("/trace/src/sample.rs")
         || s.ends_with("/frontend/src/sampled.rs")
@@ -207,6 +209,13 @@ mod tests {
         // The corpus decode cursors run once per replayed record: the
         // allocation and indexing rules must cover them.
         assert!(is_hot_path(Path::new("crates/trace/src/corpus.rs")));
+        // Fetch reconstruction and the shared branch predictors run once
+        // per fetch chunk or branch, in every lane configuration.
+        assert!(is_hot_path(Path::new("crates/trace/src/fetch.rs")));
+        assert!(is_hot_path(Path::new("crates/branch/src/perceptron.rs")));
+        assert!(is_hot_path(Path::new("crates/branch/src/ras.rs")));
+        assert!(is_hot_path(Path::new("crates/branch/src/target_cache.rs")));
+        assert!(!is_hot_path(Path::new("crates/trace/src/record.rs")));
         // The sampling pipeline runs per replayed window/segment: the
         // signature accumulator, the k-means kernel, and the sampled
         // replay drivers are all inner-loop code.
